@@ -42,11 +42,13 @@ def _load_spec(path: str):
 
 def _emit(payload: dict, fmt: str):
     payload = {"schema": SCHEMA, **payload}
+    # explicit stream: click's cached default stdout never frees a CliRunner's
+    out = click.get_text_stream("stdout")
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True))
+        click.echo(json.dumps(payload, indent=2, sort_keys=True), file=out)
     else:
         for key, value in payload.items():
-            click.echo(f"{key}: {value}")
+            click.echo(f"{key}: {value}", file=out)
 
 
 def _parse_lengths(spec, lengths: str | None):

@@ -11,10 +11,17 @@ down to the coset, and the target map first adds the edge voltage.  G acts
 on every fiber by translation; the action is transitive on vertex fibers
 and free and transitive on edge fibers, and the projection is harmonic with
 local degree |D(v)| over v.
+
+Total edges are labelled ``e@a`` and total vertices ``v@r`` with r the
+smallest member of its coset.  No action table is stored: a translation is
+computed from a label when it is needed (``_translate``), so a cover holds
+only data linear in N·(|V| + |E|) of the base.
 """
 
 from __future__ import annotations
 
+import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, NamedTuple
 
@@ -95,17 +102,30 @@ def _fmt(t: Element) -> str:
     return ".".join(map(str, t)) if t else "0"
 
 
+# a total label as build_cover writes it: name@a with a printed by _fmt
+_LABEL = re.compile(r".*@\d+(\.\d+)*")
+
+
+def _translate(group: AbelianGroup, gelt: Element, label: str) -> str:
+    """g·(x@a) = x@(g+a), reading a back from its ``_fmt`` text."""
+    name, _, text = label.rpartition("@")
+    a = tuple(int(x) for x in text.split(".")) if group.orders else ()
+    return f"{name}@{_fmt(group.add(gelt, a))}"
+
+
 @dataclass(frozen=True)
 class Cover:
-    """A built cover: total graph, projection, translation action, degrees."""
+    """A built cover: total graph, projection and local degrees.
+
+    No action table is stored: translations are computed from the ``e@a``
+    edge labels, which survive contraction (see ``_translate``).
+    """
 
     total: Graph
     base: Graph
     group: AbelianGroup
     vertex_map: dict[str, str]
     edge_map: dict[str, str]
-    action_vertices: dict[Element, dict[str, str]]
-    action_edges: dict[Element, dict[str, str]]
     local_degrees: dict[str, int]
     spec: CoverSpec | None = None
 
@@ -163,21 +183,6 @@ def build_cover(spec: CoverSpec) -> Cover:
         for a in elements:
             vertex_map[vertex_id(v, a)] = v
     edge_map = {f"{e}@{_fmt(a)}": e for e in g.edges for a in elements}
-
-    action_vertices = {}
-    action_edges = {}
-    for gelt in elements:
-        vmap = {}
-        for v in g.vertices:
-            for a in elements:
-                vmap[vertex_id(v, a)] = vertex_id(v, group.add(gelt, a))
-        emap = {}
-        for e in g.edges:
-            for a in elements:
-                emap[f"{e}@{_fmt(a)}"] = f"{e}@{_fmt(group.add(gelt, a))}"
-        action_vertices[gelt] = vmap
-        action_edges[gelt] = emap
-
     local_degrees = {
         tv: spec.dilation_at(bv).order for tv, bv in vertex_map.items()
     }
@@ -187,8 +192,6 @@ def build_cover(spec: CoverSpec) -> Cover:
         group=group,
         vertex_map=vertex_map,
         edge_map=edge_map,
-        action_vertices=action_vertices,
-        action_edges=action_edges,
         local_degrees=local_degrees,
         spec=spec,
     )
@@ -198,70 +201,87 @@ def is_connected_cover(cover: Cover) -> bool:
     return is_connected(cover.total)
 
 
+def _check(ok: bool, message: str):
+    if not ok:
+        raise AssertionError(message)
+
+
 def validate_cover(cover: Cover):
     """Check the defining invariants of a cover; raises AssertionError.
 
-    Verifies fiber sizes, that the projection and the action are graph
-    morphisms, that translation is transitive on vertex fibers and free and
-    transitive on edge fibers, and local balancing at every total vertex.
+    Verifies fiber sizes, that the projection is a graph morphism, that
+    translation acts by automorphisms commuting with the projection, freely
+    and transitively on edge fibers and transitively on vertex fibers, and
+    local balancing at every total vertex.  The vertex action is read off
+    the ``e@a`` edge labels through the endpoints and must be well defined,
+    so on a contracted cover the action must descend; a vertex with no
+    incident edge is translated from the ``v@r`` members of its own label.
     """
     total, base, group = cover.total, cover.base, cover.group
     n = group.order
     for e in base.edges:
-        fiber = cover.edge_fiber(e)
-        assert len(fiber) == n, f"edge fiber over {e} has size {len(fiber)}"
+        _check(len(cover.edge_fiber(e)) == n, f"edge fiber over {e} has the wrong size")
     for v in base.vertices:
         fiber = cover.vertex_fiber(v)
-        assert n % len(fiber) == 0
-        assert sum(cover.local_degrees[tv] for tv in fiber) == n
+        _check(n % len(fiber) == 0, f"vertex fiber over {v} has size {len(fiber)}")
+        degrees = sum(cover.local_degrees[tv] for tv in fiber)
+        _check(degrees == n, f"local degrees over {v} sum to {degrees}, not {n}")
 
     # projection is a graph morphism (endpoints commute with the maps)
     for te in total.edges:
-        be = cover.edge_map[te]
-        ts, tt = total.ends[te]
-        bs, bt = base.ends[be]
-        assert cover.vertex_map[ts] == bs and cover.vertex_map[tt] == bt
+        ends = tuple(cover.vertex_map[tv] for tv in total.ends[te])
+        _check(ends == base.ends[cover.edge_map[te]], f"projection breaks {te}")
 
     # translation acts by automorphisms commuting with the projection
-    for gelt, emap in cover.action_edges.items():
-        vmap = cover.action_vertices[gelt]
+    incident = {tv for ends in total.ends.values() for tv in ends}
+    edgeless = [tv for tv in total.vertices if tv not in incident]
+    owner = {m: tv for tv in edgeless for m in tv.split("+") if _LABEL.fullmatch(m)}
+    edge_orbits = {min(cover.edge_fiber(e)): set() for e in base.edges}
+    vertex_orbits = {min(cover.vertex_fiber(v)): set() for v in base.vertices}
+    for gelt in group.elements():
+        pairs = []
         for te in total.edges:
-            ts, tt = total.ends[te]
-            s2, t2 = total.ends[emap[te]]
-            assert vmap[ts] == s2 and vmap[tt] == t2
-            assert cover.edge_map[emap[te]] == cover.edge_map[te]
+            image = _translate(group, gelt, te)
+            _check(cover.edge_map.get(image) == cover.edge_map[te], f"{te} leaves its fiber")
+            pairs += zip(total.ends[te], total.ends[image])
+        for m, tv in owner.items():
+            if (image := _translate(group, gelt, m)) in owner:
+                pairs.append((tv, owner[image]))
+        vmap: dict[str, str] = {}
+        for tv, tw in pairs:
+            _check(vmap.setdefault(tv, tw) == tw, f"group action is not well defined at {tv}")
+            _check(cover.vertex_map[tw] == cover.vertex_map[tv], f"{tv} leaves its fiber")
+        for start, orbit in edge_orbits.items():
+            orbit.add(_translate(group, gelt, start))
+        for start, orbit in vertex_orbits.items():
+            if start in vmap:
+                orbit.add(vmap[start])
 
-    # transitivity / freeness on fibers
-    for e in base.edges:
-        fiber = set(cover.edge_fiber(e))
-        start = min(fiber)
-        orbit = {cover.action_edges[gelt][start] for gelt in cover.action_edges}
-        assert orbit == fiber
-        stab = [g for g, emap in cover.action_edges.items() if emap[start] == start]
-        assert stab == [group.zero()]
-    for v in base.vertices:
-        fiber = set(cover.vertex_fiber(v))
-        start = min(fiber)
-        orbit = {cover.action_vertices[gelt][start] for gelt in cover.action_vertices}
-        assert orbit == fiber
+    # |G| distinct translates filling the fiber: free and transitive
+    for start, orbit in edge_orbits.items():
+        _check(
+            len(orbit) == n and orbit == set(cover.edge_fiber(cover.edge_map[start])),
+            f"translation is not free and transitive on the fiber of {start}",
+        )
+    for start, orbit in vertex_orbits.items():
+        _check(
+            orbit == set(cover.vertex_fiber(cover.vertex_map[start])),
+            f"translation is not transitive on the fiber of {start}",
+        )
 
     # local balancing: every base half-edge at p(tv) has d(tv) preimages at tv
+    preimages = Counter(
+        (total.ends[te][side], cover.edge_map[te], side)
+        for te in total.edges
+        for side in (0, 1)
+    )
     for tv in total.vertices:
-        bv = cover.vertex_map[tv]
         d = cover.local_degrees[tv]
         for be in base.edges:
             for side in (0, 1):
-                if base.ends[be][side] != bv:
-                    continue
-                count = sum(
-                    1
-                    for te in total.edges
-                    if cover.edge_map[te] == be and total.ends[te][side] == tv
-                )
-                assert count == d, (
-                    f"balancing fails at {tv} over half-edge ({be},{side}):"
-                    f" {count} != {d}"
-                )
+                if base.ends[be][side] == cover.vertex_map[tv]:
+                    count = preimages[tv, be, side]
+                    _check(count == d, f"balancing at {tv} over ({be},{side}): {count} != {d}")
 
 
 def frobenius(spec: CoverSpec, path: Iterable[tuple[str, int]]) -> Element:
@@ -331,6 +351,8 @@ def contract_cover(cover: Cover, edge_ids: Iterable[str]) -> Cover:
     The local degree at a collapsed total vertex is the number of preimages,
     inside the collapsed subgraph, of any one contracted base edge of the
     corresponding base component (the global degree of the restriction).
+    Surviving edges keep their ``e@a`` ids, so the group action carries over;
+    ``validate_cover`` checks that it descends to the contraction.
     """
     fset = set(edge_ids)
     unknown = fset - set(cover.base.edges)
@@ -351,20 +373,6 @@ def contract_cover(cover: Cover, edge_ids: Iterable[str]) -> Cover:
             raise AssertionError("projection is not well defined after contraction")
         vertex_map[new] = images.pop()
     edge_map = {te: be for te, be in cover.edge_map.items() if be not in fset}
-
-    action_vertices = {}
-    for gelt, vmap in cover.action_vertices.items():
-        new_map = {}
-        for new, olds in members.items():
-            targets = {total_proj[vmap[o]] for o in olds}
-            if len(targets) != 1:
-                raise AssertionError("group action does not descend to the contraction")
-            new_map[new] = targets.pop()
-        action_vertices[gelt] = new_map
-    action_edges = {
-        gelt: {te: emap[te] for te in edge_map}
-        for gelt, emap in cover.action_edges.items()
-    }
 
     # component of contracted base edges, keyed by collapsed base vertex
     chosen_edge: dict[str, str] = {}
@@ -393,8 +401,6 @@ def contract_cover(cover: Cover, edge_ids: Iterable[str]) -> Cover:
         group=cover.group,
         vertex_map=vertex_map,
         edge_map=edge_map,
-        action_vertices=action_vertices,
-        action_edges=action_edges,
         local_degrees=local_degrees,
         spec=None,
     )

@@ -15,6 +15,7 @@ so results are reproducible across runs and platforms.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable
@@ -308,4 +309,5 @@ def spanning_trees_bruteforce(g: Graph) -> list[EdgeSubset]:
 
 
 def degree_sequence(g: Graph) -> tuple[int, ...]:
-    return tuple(sorted(g.valency(v) for v in g.vertices))
+    valency = Counter(v for e in g.edges for v in g.ends[e])
+    return tuple(sorted(valency[v] for v in g.vertices))

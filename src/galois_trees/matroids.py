@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import CycInt, MultiPoly, weight_of_root
-from .covers import Cover, CoverSpec, build_cover, is_connected_cover, validate_spec
-from .graphs import EdgeSubset, Graph, genus
-from .groups import Character, character_kills
+from .covers import CoverSpec, validate_spec
+from .graphs import EdgeSubset, Graph, connected_components, genus
+from .groups import Character, character_kills, subgroup_from_generators
 
 __all__ = [
     "TwistedMatroid",
@@ -38,33 +38,9 @@ __all__ = [
 
 def _deletion_components(g: Graph, removed: set[str]) -> list[tuple[list[str], list[str]]]:
     """Connected components (vertices, edges) of the graph minus an edge set."""
-    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        if e in removed:
-            continue
-        s, t = g.ends[e]
-        adj[s].append((e, t))
-        if s != t:
-            adj[t].append((e, s))
-    seen: set[str] = set()
-    out = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        stack = [start]
-        seen.add(start)
-        comp_v = []
-        comp_e: set[str] = set()
-        while stack:
-            v = stack.pop()
-            comp_v.append(v)
-            for e, w in adj[v]:
-                comp_e.add(e)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        out.append((sorted(comp_v), sorted(comp_e)))
-    return out
+    kept = tuple(e for e in g.edges if e not in removed)
+    rest = Graph(g.vertices, kept, {e: g.ends[e] for e in kept})
+    return [(list(c.vertices), list(c.edges)) for c in connected_components(rest)]
 
 
 def _cycle_voltages(spec: CoverSpec, comp_vertices: list[str], comp_edges: list[str]):
@@ -114,12 +90,20 @@ def _component_is_visible(spec, rho, comp_v, comp_e) -> bool:
     )
 
 
-def _require_usable(spec: CoverSpec, cover: Cover | None = None):
+def _require_usable(spec: CoverSpec):
+    """The cover must be connected: read off the base, no cover is built.
+
+    The cover is connected exactly when the base is, and the fundamental
+    cycle voltages together with the dilation subgroups generate G.
+    """
     if spec.group.is_trivial():
         raise ValueError("the matroid of a trivial cover is undefined")
-    if cover is None:
-        cover = build_cover(spec)
-    if not is_connected_cover(cover):
+    comps = _deletion_components(spec.base, set())
+    if len(comps) != 1:
+        raise ValueError("the matroid requires a connected cover")
+    gens = set(_cycle_voltages(spec, *comps[0]))
+    gens.update(d for sub in spec.dilation.values() for d in sub.elements)
+    if subgroup_from_generators(spec.group, gens).order != spec.group.order:
         raise ValueError("the matroid requires a connected cover")
 
 
@@ -205,8 +189,7 @@ def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
     output is lexicographic.
     """
     spec = validate_spec(spec).spec
-    cover = build_cover(spec)
-    _require_usable(spec, cover)
+    _require_usable(spec)
     if character.is_trivial():
         raise ValueError("the twisted matroid requires a nontrivial character")
     rank = matroid_rank(spec, character)

@@ -63,18 +63,19 @@ def parse_spec(document: str | Mapping) -> CoverSpec:
     except ValueError as exc:
         raise SpecFormatError(str(exc)) from exc
 
+    # `type(x) is int`, not isinstance: JSON true/false load as bool, an int subclass
     group_obj = data["group"]
     if (
         not isinstance(group_obj, Mapping)
         or set(group_obj) != {"cyclic"}
         or not isinstance(group_obj["cyclic"], list)
-        or not all(isinstance(n, int) and n >= 1 for n in group_obj["cyclic"])
+        or not all(type(n) is int and n >= 1 for n in group_obj["cyclic"])
     ):
         raise SpecFormatError('"group" must be {"cyclic": [positive ints]}')
     group = AbelianGroup(tuple(group_obj["cyclic"]))
 
     def parse_element(obj, where):
-        if not isinstance(obj, list) or not all(isinstance(x, int) for x in obj):
+        if not isinstance(obj, list) or not all(type(x) is int for x in obj):
             raise SpecFormatError(f"{where}: group elements are lists of ints")
         try:
             return group.reduce(obj)

@@ -1,7 +1,12 @@
 import random
+import subprocess
+import sys
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import galois_trees
 from galois_trees import (
     AbelianGroup,
     CoverSpec,
@@ -15,6 +20,7 @@ from galois_trees import (
     genus,
     is_connected_cover,
     jacobian_group,
+    subgroup_from_generators,
     switch_voltages,
     trivial_subgroup,
     validate_cover,
@@ -27,6 +33,7 @@ from helpers import (
     random_element,
     theta_graph,
 )
+from galois_trees.covers import _translate
 
 
 def test_validate_normalizes_voltage_killed_by_dilation():
@@ -296,3 +303,83 @@ def test_resolution_contraction_identity_random():
         assert sorted(back.local_degrees.values()) == sorted(
             cover.local_degrees.values()
         )
+
+
+def test_translate_reads_labels_back():
+    z2z3 = AbelianGroup((2, 3))
+    assert _translate(z2z3, (1, 2), "e@1.1") == "e@0.0"
+    assert _translate(z2z3, (0, 1), "a@b@0.2") == "a@b@0.0"
+    # Z/1 and the zero-arity group both print their one element as "0"
+    assert _translate(AbelianGroup((1,)), (0,), "e@0") == "e@0"
+    assert _translate(AbelianGroup(()), (), "e@0") == "e@0"
+    for group in (AbelianGroup((1,)), AbelianGroup(())):
+        cover = build_cover(CoverSpec(base=theta_graph(), group=group))
+        assert cover.total.edges == ("e@0", "f@0", "g@0")
+        validate_cover(cover)
+
+
+def _tampered_covers():
+    """A genuine cover with one total edge's endpoint moved, and one with a
+    wrong local degree."""
+    cover = build_cover(dumbbell_z6_spec())
+    ends = dict(cover.total.ends)
+    src, tgt = ends["e3@0"]
+    ends["e3@0"] = (src, next(tv for tv in cover.vertex_fiber("v2") if tv != tgt))
+    moved = replace(cover, total=replace(cover.total, ends=ends))
+    degrees = dict(cover.local_degrees)
+    degrees["v1@0"] += 1
+    return [moved, replace(cover, local_degrees=degrees)]
+
+
+def test_validate_cover_rejects_tampered_covers():
+    for cover in _tampered_covers():
+        with pytest.raises(AssertionError):
+            validate_cover(cover)
+
+
+def test_validate_cover_checks_under_python_O():
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_covers import _tampered_covers\n"
+        "from galois_trees import validate_cover\n"
+        "for cover in _tampered_covers():\n"
+        "    try:\n"
+        "        validate_cover(cover)\n"
+        "    except AssertionError:\n"
+        "        continue\n"
+        "    sys.exit('tampered cover accepted')\n"
+    )
+    here = Path(__file__).resolve().parent
+    src = Path(galois_trees.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(here), str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_edgeless_base_vertex_action_from_labels():
+    g = build_graph(["v"], [])
+    z4 = AbelianGroup((4,))
+    spec = CoverSpec(
+        base=g, group=z4, dilation={"v": subgroup_from_generators(z4, [(2,)])}
+    )
+    cover = build_cover(spec)
+    assert cover.total.vertices == ("v@0", "v@1")
+    validate_cover(cover)
+    resolved, added = free_resolution(spec)
+    back = contract_cover(build_cover(resolved), added)
+    assert back.total.vertices == ("v@0+v@2", "v@1+v@3")
+    assert back.total.edges == ()
+    validate_cover(back)
+    # translation by 1 splits {v@0, v@1}: the action does not descend
+    bad = replace(
+        back,
+        total=build_graph(["v@0+v@1", "v@2+v@3"], []),
+        vertex_map={"v@0+v@1": "v", "v@2+v@3": "v"},
+        local_degrees={"v@0+v@1": 2, "v@2+v@3": 2},
+    )
+    with pytest.raises(AssertionError, match="not well defined"):
+        validate_cover(bad)

@@ -6,6 +6,7 @@ from galois_trees import (
     build_graph,
     connected_components,
     contract,
+    degree_sequence,
     genus,
     spanning_trees,
     spanning_trees_bruteforce,
@@ -145,6 +146,7 @@ def test_random_graph_invariants():
         g = random_connected_multigraph(rng, 6, 9)
         assert len(g.half_edges) == 2 * len(g.edges)
         assert sum(g.valency(v) for v in g.vertices) == 2 * len(g.edges)
+        assert degree_sequence(g) == tuple(sorted(g.valency(v) for v in g.vertices))
         q, a = valency_adjacency(g)
         n = len(g.vertices)
         for i in range(n):

@@ -11,19 +11,29 @@ from galois_trees import (
     bases,
     basis_weight,
     build_cover,
+    build_graph,
     characters,
+    covers,
+    is_connected,
     is_independent,
+    matroids,
     matroid_rank,
     max_independent_size,
+    subgroup_from_generators,
     twisted_laplacian_det,
     untwisted_bases,
+    validate_spec,
     weight_of_root,
     weight_polynomial,
 )
+from galois_trees.matroids import _require_usable
 from helpers import (
+    RANDOM_GROUPS,
     dumbbell_z6_spec,
     icosahedron_spec,
     random_cover_spec,
+    random_connected_multigraph,
+    random_element,
     theta_graph,
 )
 
@@ -246,3 +256,76 @@ def test_disconnected_cover_errors():
         bases(spec, rho)
     with pytest.raises(ValueError, match="connected"):
         is_independent(spec, (), rho)
+
+
+def _random_spec(rng):
+    """A random spec whose base may be disconnected, with loops and dilation."""
+    base = random_connected_multigraph(rng, 3, 5)
+    if rng.random() < 0.3:
+        other = random_connected_multigraph(rng, 2, 3)
+        base = build_graph(
+            list(base.vertices) + [f"w{v}" for v in other.vertices],
+            [(e, *base.ends[e]) for e in base.edges]
+            + [(f"w{e}", *(f"w{x}" for x in other.ends[e])) for e in other.edges],
+        )
+    group = RANDOM_GROUPS[rng.randrange(len(RANDOM_GROUPS))]
+    dilation = {}
+    for v in base.vertices:
+        if rng.random() < 0.3:
+            dilation[v] = subgroup_from_generators(group, [random_element(rng, group)])
+    voltage = {e: random_element(rng, group) for e in base.edges if rng.random() < 0.6}
+    return CoverSpec(base=base, group=group, dilation=dilation, voltage=voltage)
+
+
+def test_connectivity_from_base_data_matches_built_cover():
+    rng = random.Random(21)
+    seen = set()
+    for _ in range(300):
+        spec = validate_spec(_random_spec(rng)).spec
+        connected = is_connected(build_cover(spec).total)
+        try:
+            _require_usable(spec)
+            usable = True
+        except ValueError as exc:
+            assert "connected" in str(exc)
+            usable = False
+        assert usable == connected
+        seen.add((connected, is_connected(spec.base)))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+def test_matroids_build_no_cover(monkeypatch):
+    def refuse(spec):
+        raise AssertionError("the matroid must not build the cover")
+
+    spec = icosahedron_spec()
+    rho = characters(spec.group)[1]
+    expected = weight_polynomial(spec, rho)
+    monkeypatch.setattr(covers, "build_cover", refuse)
+    # also catch a module that imported the name directly
+    monkeypatch.setattr(matroids, "build_cover", refuse, raising=False)
+    assert weight_polynomial(spec, rho) == expected
+    assert bases(spec, rho) == expected.matroid
+    assert len(expected.matroid.bases) == 13
+    assert is_independent(spec, (), rho)
+    z4 = AbelianGroup((4,))
+    disconnected = (
+        CoverSpec(base=theta_graph(), group=z4, voltage={"e": (2,), "f": (2,)}),
+        CoverSpec(
+            base=build_graph(["a", "b"], [("e", "a", "a")]),
+            group=z4,
+            voltage={"e": (1,)},
+        ),
+    )
+    for spec in disconnected:
+        rho = characters(spec.group)[1]
+        for call in (
+            lambda: bases(spec, rho),
+            lambda: weight_polynomial(spec, rho),
+            lambda: is_independent(spec, (), rho),
+            lambda: basis_weight(spec, rho, ()),
+            lambda: untwisted_bases(spec),
+            lambda: max_independent_size(spec, rho),
+        ):
+            with pytest.raises(ValueError, match="connected"):
+                call()

@@ -63,6 +63,31 @@ def test_parse_rejects_garbage():
         parse_spec({"vertices": ["a"], "edges": [], "group": {"cyclic": [0]}})
 
 
+BOOLEAN_INT_SPECS = (
+    {"vertices": ["a"], "edges": [], "group": {"cyclic": [True, 3]}},
+    {
+        "vertices": ["a"],
+        "edges": [{"id": "e", "src": "a", "tgt": "a"}],
+        "group": {"cyclic": [2, 2]},
+        "voltage": {"e": [False, True]},
+    },
+    {
+        "vertices": ["a"],
+        "edges": [],
+        "group": {"cyclic": [2]},
+        "dilation": {"a": [[True]]},
+    },
+)
+
+
+def test_parse_rejects_booleans_as_ints():
+    for document in BOOLEAN_INT_SPECS:
+        with pytest.raises(SpecFormatError):
+            parse_spec(document)
+        with pytest.raises(SpecFormatError):
+            parse_spec(json.dumps(document))
+
+
 def test_roundtrip_on_normalized_specs():
     for spec in (icosahedron_spec(), dumbbell_z6_spec()):
         normalized = validate_spec(spec).spec
@@ -262,6 +287,15 @@ def test_cli_bad_inputs():
         main, ["zeta", str(SPEC_DIR / "theta.json"), "--lengths", "zz=2"]
     )
     assert result.exit_code == 2
+
+
+def test_cli_rejects_booleans_as_ints(tmp_path):
+    runner = CliRunner()
+    for k, document in enumerate(BOOLEAN_INT_SPECS):
+        path = tmp_path / f"bool{k}.json"
+        path.write_text(json.dumps(document))
+        result = runner.invoke(main, ["build", str(path)])
+        assert result.exit_code == 2, result.output
 
 
 def test_spec_to_dict_has_schema():
