@@ -7,12 +7,8 @@ Laplacians overflow 64 bits already at modest sizes, so no numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from ..errors import ExactDivisionError
-from .cyclotomic import CycInt
-from .multipoly import MultiPoly
-from .unipoly import UniPoly
+from .division import exact_quotient
 
 
 def int_det(rows: list[list[int]]) -> int:
@@ -164,47 +160,6 @@ def _ring_zero(x) -> bool:
     return not x
 
 
-def _ring_exact_div(a, b):
-    if isinstance(b, int):
-        if b == 1:
-            return a
-        if b == -1:
-            return -a
-        if isinstance(a, int):
-            q, r = divmod(a, b)
-            if r:
-                raise ExactDivisionError(f"{a} not divisible by {b}", remainder=r)
-            return q
-        if isinstance(a, Fraction):
-            return a / b
-        if isinstance(a, CycInt):
-            return a.exact_div(b)
-        if isinstance(a, UniPoly):
-            return a.exact_div(UniPoly.const(b))
-        if isinstance(a, MultiPoly):
-            return a.exact_divide(b)
-    if isinstance(b, Fraction) or isinstance(a, Fraction):
-        return Fraction(a) / Fraction(b)
-    if isinstance(b, CycInt):
-        if isinstance(a, int):
-            return CycInt.from_int(b.conductor, a).exact_div(b)
-        if isinstance(a, CycInt):
-            return a.exact_div(b)
-        if isinstance(a, UniPoly):
-            return a.exact_div(UniPoly.const(b))
-        if isinstance(a, MultiPoly):
-            return a.exact_divide(b)
-    if isinstance(b, UniPoly):
-        if isinstance(a, (int, CycInt)):
-            a = UniPoly.const(a)
-        return a.exact_div(b)
-    if isinstance(b, MultiPoly):
-        if isinstance(a, (int, CycInt)):
-            a = MultiPoly.const(a)
-        return a.exact_divide(b)
-    raise TypeError(f"no exact division for {type(a).__name__} / {type(b).__name__}")
-
-
 def det_over_ring(rows: list[list]) -> object:
     """Exact determinant of a square matrix over a commutative integral domain.
 
@@ -234,7 +189,7 @@ def det_over_ring(rows: list[list]) -> object:
             row_i = a[i]
             lower = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = _ring_exact_div(pivot * row_i[j] - lower * a[k][j], prev)
+                row_i[j] = exact_quotient(pivot * row_i[j] - lower * a[k][j], prev)
             row_i[k] = 0
         prev = pivot
     result = a[n - 1][n - 1]

@@ -12,6 +12,7 @@ from typing import Iterable, Mapping
 
 from ..errors import ExactDivisionError
 from .cyclotomic import CycInt
+from .division import exact_quotient
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -38,21 +39,6 @@ def _mono_div(a: Monomial, b: Monomial) -> Monomial | None:
         else:
             exps[v] = r
     return tuple(sorted(exps.items()))
-
-
-def _coeff_exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ExactDivisionError(f"{a} is not divisible by {b}", remainder=r)
-        return q
-    if isinstance(b, CycInt):
-        if isinstance(a, int):
-            a = CycInt.from_int(b.conductor, a)
-        return a.exact_div(b)
-    if isinstance(a, CycInt):
-        return a.exact_div(b)
-    raise TypeError(f"cannot divide coefficients {a!r} / {b!r}")
 
 
 class MultiPoly:
@@ -225,12 +211,29 @@ class MultiPoly:
         return acc
 
     def exact_divide(self, den) -> MultiPoly:
-        """Exact polynomial division; raises ExactDivisionError with the remainder."""
+        """Exact polynomial division; raises ExactDivisionError with the remainder.
+
+        A constant divides coefficient by coefficient, and its remainder is
+        the terms whose coefficients it does not divide.
+        """
         den = self._coerce(den)
         if den is None:
             raise TypeError("divisor must be a polynomial or scalar")
         if not den:
             raise ZeroDivisionError("division by the zero polynomial")
+        if len(den.terms) == 1 and () in den.terms:
+            c = den.terms[()]
+            quot, rem = {}, {}
+            for mono, a in self.terms.items():
+                try:
+                    quot[mono] = exact_quotient(a, c)
+                except ExactDivisionError:
+                    rem[mono] = a
+            if rem:
+                raise ExactDivisionError(
+                    f"division leaves remainder {MultiPoly(rem)}", remainder=MultiPoly(rem)
+                )
+            return MultiPoly(quot)
         varlist = tuple(sorted(set(self.variables()) | set(den.variables())))
 
         def key(mono: Monomial):
@@ -250,7 +253,7 @@ class MultiPoly:
                     remainder=MultiPoly(rem),
                 )
             try:
-                qc = _coeff_exact_div(rem[lead], den_lead_coeff)
+                qc = exact_quotient(rem[lead], den_lead_coeff)
             except ExactDivisionError as exc:
                 raise ExactDivisionError(
                     f"division leaves remainder {MultiPoly(rem)}",
@@ -265,6 +268,8 @@ class MultiPoly:
                 else:
                     rem.pop(target, None)
         return MultiPoly(quot)
+
+    exact_div = exact_divide
 
     def map_coefficients(self, fn) -> MultiPoly:
         return MultiPoly({m: fn(c) for m, c in self.terms.items()})

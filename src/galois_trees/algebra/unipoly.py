@@ -12,27 +12,11 @@ from math import comb
 
 from ..errors import ExactDivisionError
 from .cyclotomic import CycInt
+from .division import exact_quotient
 
 
 def _zero(c) -> bool:
     return not c
-
-
-def _coeff_exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        q, r = divmod(a, b)
-        if r:
-            raise ExactDivisionError(f"{a} is not divisible by {b}", remainder=r)
-        return q
-    if isinstance(a, Fraction) or isinstance(b, Fraction):
-        return Fraction(a) / Fraction(b)
-    if isinstance(b, CycInt):
-        if isinstance(a, int):
-            a = CycInt.from_int(b.conductor, a)
-        return a.exact_div(b)
-    if isinstance(a, CycInt):
-        return a.exact_div(b)
-    raise TypeError(f"cannot divide coefficients {a!r} / {b!r}")
 
 
 class UniPoly:
@@ -188,7 +172,7 @@ class UniPoly:
         for i in reversed(range(len(quot))):
             c = rem[i + dd]
             if not _zero(c):
-                q = _coeff_exact_div(c, lead)
+                q = exact_quotient(c, lead)
                 quot[i] = q
                 for j, p in enumerate(other.coeffs):
                     rem[i + j] = rem[i + j] - q * p

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Mapping
 
 HalfEdge = tuple[str, int]
 EdgeSubset = tuple[str, ...]
@@ -204,86 +204,143 @@ class _UnionFind:
             x = p[x]
         return x
 
-    def union(self, x: int, y: int) -> int | None:
-        """Union two roots; returns the absorbed root for undo, or None."""
+    def union(self, x: int, y: int):
+        """Union two roots, the smaller under the larger."""
         if self.size[x] < self.size[y]:
             x, y = y, x
         self.parent[y] = x
         self.size[x] += self.size[y]
-        return y
 
-    def undo(self, absorbed: int):
-        root = self.parent[absorbed]
-        self.size[root] -= self.size[absorbed]
-        self.parent[absorbed] = absorbed
+
+def _canonical(key: tuple[int, ...]) -> tuple[int, ...]:
+    """Renumber blocks in order of first occurrence."""
+    relabel: dict[int, int] = {}
+    return tuple([relabel.setdefault(b, len(relabel)) for b in key])
+
+
+def _leave(key: tuple[int, ...], positions: list[int]) -> tuple[int, ...] | None:
+    """Drop departing frontier positions, given in descending order.
+
+    None when a block closes while another block is still open: no later
+    edge can join them.
+    """
+    for p in positions:
+        block = key[p]
+        key = key[:p] + key[p + 1:]
+        if key and block not in key:
+            return None
+    return _canonical(key)
+
+
+def _add_into(states: dict, key, poly: dict[int, int]):
+    dst = states.get(key)
+    if dst is None:
+        states[key] = poly
+    else:
+        for m, c in poly.items():
+            dst[m] = dst.get(m, 0) + c
+
+
+def _breadth_first(g: Graph) -> list[str]:
+    """The vertices of a connected graph in breadth-first order from the first."""
+    adj = _adjacency(g)
+    order = [g.vertices[0]]
+    seen = set(order)
+    for v in order:
+        for _, w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
+def tree_sweep(
+    g: Graph, labels: Mapping[str, str]
+) -> tuple[tuple[str, ...], dict[tuple[int, ...], int]]:
+    """Count spanning trees by how many tree edges carry each label.
+
+    Returns the sorted labels and a map from exponent vectors over them
+    (tree edges per label) to the number of spanning trees with that vector.
+    The graph must be connected.
+
+    A frontier sweep (Sekine, Imai and Tani, ISAAC 1995): parallel non-loop
+    edges with one label form a bundle, and the bundles are processed in
+    the order of their ends' positions in a breadth-first order of the
+    vertices, which keeps the frontier narrow on long sparse graphs such as
+    cyclic covers.  The frontier is the list of vertices already met that
+    still have an unprocessed bundle; a state is a partition of the frontier
+    into blocks of the forest chosen so far, kept in canonical form, and maps
+    to a polynomial counting the forests that reach it.  A bundle of k edges
+    with label x either stays out of the forest, or, when its ends lie in
+    different blocks, puts one of its k edges in and merges the blocks
+    (times k*x).  A vertex leaves the frontier after its last bundle; if its
+    block then has no frontier vertex left while another block does, the
+    state can never become a tree and is dropped.  Only the states of two
+    consecutive steps are alive, and nothing recurses.
+
+    Polynomials are dicts keyed by packed exponent vectors: one bit field
+    per label, wide enough for every non-loop edge with that label.
+    """
+    names = tuple(sorted({labels[e] for e in g.edges}))
+    slot = {lab: i for i, lab in enumerate(names)}
+    idx = {v: i for i, v in enumerate(_breadth_first(g))}
+    bundles: Counter[tuple[int, int, str]] = Counter()
+    per_label: Counter[str] = Counter()
+    for e in g.edges:
+        s, t = idx[g.ends[e][0]], idx[g.ends[e][1]]
+        if s != t:
+            bundles[(min(s, t), max(s, t), labels[e])] += 1
+            per_label[labels[e]] += 1
+    width = max(per_label.values(), default=1).bit_length()
+    blist = sorted(bundles.items())
+    last: dict[int, int] = {}
+    for step, ((i, j, _), _) in enumerate(blist):
+        last[i] = last[j] = step
+
+    frontier: list[int] = []
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for step, ((i, j, lab), k) in enumerate(blist):
+        entering = [v for v in (i, j) if v not in frontier]
+        frontier += entering
+        pi, pj = frontier.index(i), frontier.index(j)
+        leaving = sorted((frontier.index(v) for v in (i, j) if last[v] == step), reverse=True)
+        shift = 1 << (slot[lab] * width)
+        following: dict[tuple[int, ...], dict[int, int]] = {}
+        for key, poly in states.items():
+            for _ in entering:
+                key += (max(key, default=-1) + 1,)
+            a, b = key[pi], key[pj]
+            if a != b:
+                low, high = min(a, b), max(a, b)
+                merged = _leave(tuple([low if x == high else x for x in key]), leaving)
+                if merged is not None:
+                    _add_into(following, merged, {m + shift: c * k for m, c in poly.items()})
+            kept = _leave(key, leaving) if leaving else key
+            if kept is not None:
+                # ``poly`` is not read again, so the new state may take it over
+                _add_into(following, kept, poly)
+        for p in leaving:
+            del frontier[p]
+        states = following
+
+    mask = (1 << width) - 1
+    return names, {
+        tuple((m >> (s * width)) & mask for s in range(len(names))): c
+        for m, c in states.get((), {}).items()
+    }
 
 
 def spanning_trees(g: Graph) -> list[EdgeSubset]:
     """All spanning trees, each a sorted tuple of edge ids, in lexicographic order.
 
-    Deletion/contraction backtracking over the edge list; a branch that can
-    no longer connect the remaining components is pruned.  Loops never occur
+    A by-product of ``tree_sweep`` with one label per edge: every exponent
+    vector it returns marks the edges of exactly one tree.  Loops never occur
     in a tree.
     """
     if not is_connected(g):
         raise ValueError("spanning trees require a connected graph")
-    n = len(g.vertices)
-    if n == 1:
-        return [()]
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    edges = [
-        (e, idx[g.ends[e][0]], idx[g.ends[e][1]])
-        for e in g.edges
-        if not g.is_loop(e)
-    ]
-    uf = _UnionFind(n)
-    out: list[EdgeSubset] = []
-    chosen: list[str] = []
-
-    def connectable(i: int) -> bool:
-        roots = {}
-        count = 0
-        for v in range(n):
-            r = uf.find(v)
-            if r not in roots:
-                roots[r] = r
-                count += 1
-
-        def f(x):
-            while roots[x] != x:
-                x = roots[x]
-            return x
-
-        for _, u, v in edges[i:]:
-            ru, rv = f(uf.find(u)), f(uf.find(v))
-            if ru != rv:
-                roots[rv] = ru
-                count -= 1
-                if count == 1:
-                    return True
-        return count == 1
-
-    def walk(i: int, ncomp: int):
-        if ncomp == 1:
-            out.append(tuple(chosen))
-            return
-        if i >= len(edges):
-            return
-        e, u, v = edges[i]
-        ru, rv = uf.find(u), uf.find(v)
-        if ru != rv:
-            absorbed = uf.union(ru, rv)
-            chosen.append(e)
-            walk(i + 1, ncomp - 1)
-            chosen.pop()
-            uf.undo(absorbed)
-        if connectable(i + 1):
-            walk(i + 1, ncomp)
-
-    if connectable(0):
-        walk(0, n)
-    out.sort()
-    return out
+    names, counts = tree_sweep(g, {e: e for e in g.edges})
+    return sorted(tuple(e for e, x in zip(names, exps) if x) for exps in counts)
 
 
 def spanning_trees_bruteforce(g: Graph) -> list[EdgeSubset]:

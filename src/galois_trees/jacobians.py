@@ -6,18 +6,21 @@ polynomial refines the count: one term per spanning tree, multiplying the
 variables of the edges *outside* the tree, hence homogeneous of degree equal
 to the genus.  A labeled variant maps edge variables through an arbitrary
 relabeling, which is what expressing a cover's polynomial in base variables
-needs.
+needs.  Trees are counted as coefficients by a frontier sweep over the
+edges (``graphs.tree_sweep``), never visited one by one, so the cost
+follows the number of frontier partitions rather than the number of trees.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from math import prod
 from typing import Mapping
 
 from .algebra import MultiPoly, int_det, smith_normal_form
 from .covers import Cover
-from .graphs import Graph, _UnionFind, build_graph, is_connected, valency_adjacency
+from .graphs import Graph, build_graph, is_connected, tree_sweep, valency_adjacency
 
 
 def laplacian(g: Graph) -> list[list[int]]:
@@ -62,101 +65,20 @@ def labeled_jacobian_polynomial(g: Graph, labels: Mapping[str, str] | None = Non
 
     ``labels`` renames the variable attached to each edge; distinct edges may
     share a label, in which case exponents add and coefficients count the
-    trees sharing a complement.  Enumeration is a deletion/contraction
-    recursion; parallel edges with equal labels are processed as one bundle.
+    trees sharing a complement.  The trees are counted, not visited, by the
+    frontier sweep of ``graphs.tree_sweep`` over bundles of parallel edges
+    with equal labels; each tree's complement is all edges minus its own.
     """
     if not is_connected(g):
         raise ValueError("the tree polynomial requires a connected graph")
     if labels is None:
         labels = {e: e for e in g.edges}
-    n = len(g.vertices)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-
-    base_exps: dict[str, int] = {}
-
-    def add_exp(exps: dict[str, int], label: str, k: int):
-        if k:
-            exps[label] = exps.get(label, 0) + k
-
-    # bundle parallel non-loop edges sharing endpoints and label
-    bundles: dict[tuple[int, int, str], int] = {}
-    for e in g.edges:
-        s, t = g.ends[e]
-        lab = labels[e]
-        if s == t:
-            add_exp(base_exps, lab, 1)
-            continue
-        i, j = sorted((idx[s], idx[t]))
-        bundles[(i, j, lab)] = bundles.get((i, j, lab), 0) + 1
-    blist = sorted(bundles.items())
-
-    uf = _UnionFind(n)
-    terms: dict[tuple, int] = {}
-    exps = dict(base_exps)
-
-    def record(count: int, start: int):
-        tail = dict(exps)
-        for (_, _, lab), k in blist[start:]:
-            add_exp(tail, lab, k)
-        mono = tuple(sorted(tail.items()))
-        terms[mono] = terms.get(mono, 0) + count
-
-    def connectable(i: int) -> bool:
-        roots: dict[int, int] = {}
-        count = 0
-        for v in range(n):
-            r = uf.find(v)
-            if r not in roots:
-                roots[r] = r
-                count += 1
-
-        def f(x):
-            while roots[x] != x:
-                x = roots[x]
-            return x
-
-        for (u, v, _), _k in blist[i:]:
-            ru, rv = f(uf.find(u)), f(uf.find(v))
-            if ru != rv:
-                roots[rv] = ru
-                count -= 1
-                if count == 1:
-                    return True
-        return count == 1
-
-    def walk(i: int, ncomp: int, count: int):
-        if ncomp == 1:
-            record(count, i)
-            return
-        if i >= len(blist):
-            return
-        (u, v, lab), k = blist[i]
-        ru, rv = uf.find(u), uf.find(v)
-        if ru != rv:
-            absorbed = uf.union(ru, rv)
-            add_exp(exps, lab, k - 1)
-            walk(i + 1, ncomp - 1, count * k)
-            if k - 1:
-                exps[lab] -= k - 1
-                if not exps[lab]:
-                    del exps[lab]
-            uf.undo(absorbed)
-            # exclude the whole bundle if the rest still connects
-            if connectable(i + 1):
-                add_exp(exps, lab, k)
-                walk(i + 1, ncomp, count)
-                exps[lab] -= k
-                if not exps[lab]:
-                    del exps[lab]
-        else:
-            add_exp(exps, lab, k)
-            walk(i + 1, ncomp, count)
-            exps[lab] -= k
-            if not exps[lab]:
-                del exps[lab]
-
-    walk(0, n, 1)
-    return MultiPoly({mono: c for mono, c in terms.items()})
+    names, counts = tree_sweep(g, labels)
+    totals = Counter(labels[e] for e in g.edges)
+    return MultiPoly({
+        tuple((lab, totals[lab] - x) for lab, x in zip(names, exps) if totals[lab] != x): c
+        for exps, c in counts.items()
+    })
 
 
 def jacobian_polynomial(g: Graph) -> MultiPoly:

@@ -33,6 +33,7 @@ __all__ = [
     "is_independent",
     "max_independent_size",
     "weight_polynomial",
+    "weight_polynomials",
 ]
 
 
@@ -107,10 +108,16 @@ def _require_usable(spec: CoverSpec):
         raise ValueError("the matroid requires a connected cover")
 
 
-def is_independent(spec: CoverSpec, edge_set, character: Character | None = None) -> bool:
-    """Independence oracle: deleting the edges must leave only visible components."""
+def _usable_spec(spec: CoverSpec) -> CoverSpec:
+    """The validated spec, once its cover is known to be connected."""
     spec = validate_spec(spec).spec
     _require_usable(spec)
+    return spec
+
+
+def is_independent(spec: CoverSpec, edge_set, character: Character | None = None) -> bool:
+    """Independence oracle: deleting the edges must leave only visible components."""
+    spec = _usable_spec(spec)
     removed = set(edge_set)
     unknown = removed - set(spec.base.edges)
     if unknown:
@@ -172,8 +179,7 @@ def _basis_weight_checked(spec, rho, removed) -> CycInt:
 
 def basis_weight(spec: CoverSpec, character: Character, basis) -> CycInt:
     """Weight of a single basis; errors if the set is not a basis."""
-    spec = validate_spec(spec).spec
-    _require_usable(spec)
+    spec = _usable_spec(spec)
     if character.is_trivial():
         raise ValueError("weights require a nontrivial character")
     basis = tuple(sorted(basis))
@@ -188,8 +194,11 @@ def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
     Brute force over rank-sized edge subsets against the component oracle;
     output is lexicographic.
     """
-    spec = validate_spec(spec).spec
-    _require_usable(spec)
+    return _bases(_usable_spec(spec), character)
+
+
+def _bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
+    """``bases`` on a spec that ``_usable_spec`` has already passed."""
     if character.is_trivial():
         raise ValueError("the twisted matroid requires a nontrivial character")
     rank = matroid_rank(spec, character)
@@ -214,8 +223,7 @@ def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
 
 def untwisted_bases(spec: CoverSpec) -> tuple[EdgeSubset, ...]:
     """Bases of the untwisted matroid (voltages compared in the group itself)."""
-    spec = validate_spec(spec).spec
-    _require_usable(spec)
+    spec = _usable_spec(spec)
     rank = matroid_rank(spec, None)
     return tuple(
         subset
@@ -229,8 +237,7 @@ def untwisted_bases(spec: CoverSpec) -> tuple[EdgeSubset, ...]:
 
 def max_independent_size(spec: CoverSpec, character: Character | None = None) -> int:
     """Largest independent set size by exhaustive search (test oracle)."""
-    spec = validate_spec(spec).spec
-    _require_usable(spec)
+    spec = _usable_spec(spec)
     if character is not None and character.is_trivial():
         raise ValueError("the twisted matroid requires a nontrivial character")
     edges = spec.base.edges
@@ -253,7 +260,19 @@ class WeightReport:
 
 def weight_polynomial(spec: CoverSpec, character: Character) -> WeightReport:
     """Basis-generating polynomial with cyclotomic weights, and its value at 1."""
-    matroid = bases(spec, character)
+    return _weight_report(_usable_spec(spec), character)
+
+
+def weight_polynomials(spec: CoverSpec, chars: list[Character]) -> list[WeightReport]:
+    """``weight_polynomial`` at each character, checking the spec once."""
+    if not chars:
+        return []
+    spec = _usable_spec(spec)
+    return [_weight_report(spec, rho) for rho in chars]
+
+
+def _weight_report(spec: CoverSpec, character: Character) -> WeightReport:
+    matroid = _bases(spec, character)
     terms = {}
     for basis, weight in zip(matroid.bases, matroid.weights):
         mono = tuple((e, 1) for e in basis)

@@ -29,7 +29,7 @@ from .jacobians import (
     jacobian_polynomial,
     specialized_jacobian_polynomial,
 )
-from .matroids import TwistedMatroid, WeightReport, weight_polynomial
+from .matroids import TwistedMatroid, weight_polynomials
 
 DEFAULT_ENUMERATION_CAP = 200_000
 
@@ -121,10 +121,8 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
     reports = []
     product = MultiPoly.const(1)
     scalar_product = CycInt.from_int(group.exponent, 1)
-    for rho in characters(group):
-        if rho.is_trivial():
-            continue
-        report: WeightReport = weight_polynomial(spec, rho)
+    nontrivial = [rho for rho in characters(group) if not rho.is_trivial()]
+    for rho, report in zip(nontrivial, weight_polynomials(spec, nontrivial)):
         reports.append(
             CharacterReport(
                 character=rho,

@@ -15,6 +15,7 @@ from galois_trees import (
     smith_normal_form,
     weight_of_root,
 )
+from galois_trees.algebra.division import exact_quotient
 from galois_trees.errors import ExactDivisionError
 
 
@@ -138,6 +139,43 @@ def test_multipoly_divide_reports_remainder():
         (x * x + y).exact_divide(x)
     assert err.value.remainder is not None
     assert err.value.remainder == y
+
+
+def test_multipoly_scalar_division_reports_remainder():
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    z = CycInt.root(5, 1)
+    assert (6 * x * y + 4 * y).exact_divide(2) == 3 * x * y + 2 * y
+    assert (x * (3 * z) + 6).exact_divide(MultiPoly.const(3)) == x * z + 2
+    with pytest.raises(ExactDivisionError) as err:
+        (6 * x + 4 * y + 3).exact_divide(2)
+    assert isinstance(err.value.remainder, MultiPoly)
+    assert err.value.remainder == MultiPoly.const(3)
+    with pytest.raises(ExactDivisionError) as err:
+        (x * (2 * z) + y * (4 * z) + 4).exact_divide(4)
+    assert err.value.remainder == x * (2 * z)
+
+
+def test_exact_quotient_dispatch():
+    s = UniPoly.monomial(1)
+    x = MultiPoly.variable("x")
+    z = CycInt.root(3, 1)
+    assert exact_quotient(12, 4) == 3
+    assert exact_quotient(x, 1) is x
+    assert exact_quotient(s, -1) == -s
+    assert exact_quotient(Fraction(1, 2), 3) == Fraction(1, 6)
+    assert exact_quotient(6, CycInt.from_int(3, 2)) == CycInt.from_int(3, 3)
+    assert exact_quotient(4 * z, 2) == 2 * z
+    assert exact_quotient(2 * s * s, s) == 2 * s
+    assert exact_quotient(2, UniPoly.const(2)) == UniPoly.const(1)
+    assert exact_quotient(6 * x, 3) == 2 * x
+    assert exact_quotient(x * x, x) == x
+    with pytest.raises(ExactDivisionError) as err:
+        exact_quotient(7, 2)
+    assert err.value.remainder == 1
+    with pytest.raises(ExactDivisionError):
+        exact_quotient(1 + s, 1 - s)
+    with pytest.raises(ExactDivisionError):
+        exact_quotient(CycInt.from_int(5, 3), CycInt.from_int(5, 2))
 
 
 @given(st.data())

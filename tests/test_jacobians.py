@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -18,8 +19,10 @@ from galois_trees import (
     laplacian,
     pushforward_jacobian,
     spanning_trees,
+    spanning_trees_bruteforce,
     specialized_jacobian_polynomial,
     subdivide,
+    verify_main_theorem,
 )
 from galois_trees.errors import ExactDivisionError
 from helpers import (
@@ -215,3 +218,46 @@ def test_disconnected_inputs_error():
         jacobian_polynomial(g)
     with pytest.raises(ValueError):
         kirchhoff_count(g)
+
+
+def _bruteforce_tree_polynomial(g, labels):
+    terms = Counter()
+    for tree in spanning_trees_bruteforce(g):
+        complement = Counter(labels[e] for e in g.edges if e not in tree)
+        terms[tuple(sorted(complement.items()))] += 1
+    return MultiPoly(terms)
+
+
+def test_tree_sweep_matches_bruteforce_random():
+    rng = random.Random(31)
+    seen = Counter()
+    for _ in range(300):
+        g = random_connected_multigraph(rng, 6, 10)
+        labels = {e: rng.choice("xyz") for e in g.edges}
+        assert labeled_jacobian_polynomial(g, labels) == _bruteforce_tree_polynomial(g, labels)
+        assert spanning_trees(g) == spanning_trees_bruteforce(g)
+        bundles = Counter(
+            (frozenset(g.ends[e]), labels[e]) for e in g.edges if not g.is_loop(e)
+        )
+        seen["loop"] += any(g.is_loop(e) for e in g.edges)
+        seen["bundle"] += any(k > 1 for k in bundles.values())
+        seen["one vertex"] += len(g.vertices) == 1
+    # the population has loops, parallel edges sharing a label, single vertices
+    assert min(seen.values()) > 0 and len(seen) == 3
+
+
+def test_tree_enumeration_on_long_cycle():
+    # one bundle per edge: far more bundles than the default recursion limit
+    n = 1100
+    names = [f"v{i:04d}" for i in range(n)]
+    g = build_graph(names, [(f"e{i:04d}", names[i], names[(i + 1) % n]) for i in range(n)])
+    assert jacobian_polynomial(g).value_at_ones() == 1100
+    assert len(spanning_trees(g)) == 1100
+
+
+def test_icosahedron_exact_polynomial_check():
+    report = verify_main_theorem(icosahedron_spec(), max_tree_enumeration=10**7)
+    assert report.polynomial_checked
+    assert report.lhs_polynomial == report.rhs_polynomial
+    assert report.lhs_polynomial.value_at_ones() == 5_184_000
+    assert report.equal

@@ -301,3 +301,23 @@ def test_cli_rejects_booleans_as_ints(tmp_path):
 def test_spec_to_dict_has_schema():
     payload = spec_to_dict(validate_spec(icosahedron_spec()).spec)
     assert payload["schema"] == "galois-trees/1"
+
+
+def test_cli_jacpoly_on_a_long_cover(tmp_path):
+    # a loop with voltage 1 in Z/1100: the cover is a cycle of 1100 vertices
+    path = tmp_path / "loop_z1100.json"
+    path.write_text(
+        json.dumps(
+            {
+                "vertices": ["v"],
+                "edges": [{"id": "e", "src": "v", "tgt": "v"}],
+                "group": {"cyclic": [1100]},
+                "voltage": {"e": [1]},
+            }
+        )
+    )
+    result = CliRunner().invoke(main, ["jacpoly", str(path), "--cover"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)
+    assert payload["tree_count"] == 1100
+    assert payload["polynomial"] == [{"coeff": 1100, "exps": {"e": 1}}]
