@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from ..errors import ExactDivisionError
 from .cyclotomic import CycInt
+from .multipoly import MultiPoly
 
 
 def exact_quotient(a, b):
@@ -31,5 +32,6 @@ def exact_quotient(a, b):
         a = CycInt.from_int(b.conductor, a)
     elif isinstance(a, (int, CycInt)) and not isinstance(b, (int, CycInt)):
         a = type(b).const(a)  # a scalar over a polynomial
-    # CycInt, UniPoly and MultiPoly all divide by ``exact_div``
-    return a.exact_div(b)
+    if isinstance(a, MultiPoly):
+        return a.exact_divide(b)
+    return a.exact_div(b)  # CycInt or UniPoly

@@ -12,7 +12,6 @@ from typing import Iterable, Mapping
 
 from ..errors import ExactDivisionError
 from .cyclotomic import CycInt
-from .division import exact_quotient
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -216,6 +215,8 @@ class MultiPoly:
         A constant divides coefficient by coefficient, and its remainder is
         the terms whose coefficients it does not divide.
         """
+        from .division import exact_quotient  # division dispatches back to this class
+
         den = self._coerce(den)
         if den is None:
             raise TypeError("divisor must be a polynomial or scalar")
@@ -268,8 +269,6 @@ class MultiPoly:
                 else:
                     rem.pop(target, None)
         return MultiPoly(quot)
-
-    exact_div = exact_divide
 
     def map_coefficients(self, fn) -> MultiPoly:
         return MultiPoly({m: fn(c) for m, c in self.terms.items()})

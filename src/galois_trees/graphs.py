@@ -279,7 +279,9 @@ def tree_sweep(
     consecutive steps are alive, and nothing recurses.
 
     Polynomials are dicts keyed by packed exponent vectors: one bit field
-    per label, wide enough for every non-loop edge with that label.
+    per label, wide enough for every non-loop edge with that label.  Adding
+    an edge is then one integer addition; with one label per edge, as in
+    ``spanning_trees``, tuple keys would copy a vector of |E| entries.
     """
     names = tuple(sorted({labels[e] for e in g.edges}))
     slot = {lab: i for i, lab in enumerate(names)}

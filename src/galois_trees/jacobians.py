@@ -8,7 +8,8 @@ to the genus.  A labeled variant maps edge variables through an arbitrary
 relabeling, which is what expressing a cover's polynomial in base variables
 needs.  Trees are counted as coefficients by a frontier sweep over the
 edges (``graphs.tree_sweep``), never visited one by one, so the cost
-follows the number of frontier partitions rather than the number of trees.
+follows the frontier partitions and the terms kept for each, not the
+number of trees.
 """
 
 from __future__ import annotations

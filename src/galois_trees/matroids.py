@@ -33,7 +33,6 @@ __all__ = [
     "is_independent",
     "max_independent_size",
     "weight_polynomial",
-    "weight_polynomials",
 ]
 
 
@@ -108,16 +107,10 @@ def _require_usable(spec: CoverSpec):
         raise ValueError("the matroid requires a connected cover")
 
 
-def _usable_spec(spec: CoverSpec) -> CoverSpec:
-    """The validated spec, once its cover is known to be connected."""
-    spec = validate_spec(spec).spec
-    _require_usable(spec)
-    return spec
-
-
 def is_independent(spec: CoverSpec, edge_set, character: Character | None = None) -> bool:
     """Independence oracle: deleting the edges must leave only visible components."""
-    spec = _usable_spec(spec)
+    spec = validate_spec(spec).spec
+    _require_usable(spec)
     removed = set(edge_set)
     unknown = removed - set(spec.base.edges)
     if unknown:
@@ -179,7 +172,8 @@ def _basis_weight_checked(spec, rho, removed) -> CycInt:
 
 def basis_weight(spec: CoverSpec, character: Character, basis) -> CycInt:
     """Weight of a single basis; errors if the set is not a basis."""
-    spec = _usable_spec(spec)
+    spec = validate_spec(spec).spec
+    _require_usable(spec)
     if character.is_trivial():
         raise ValueError("weights require a nontrivial character")
     basis = tuple(sorted(basis))
@@ -194,11 +188,8 @@ def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
     Brute force over rank-sized edge subsets against the component oracle;
     output is lexicographic.
     """
-    return _bases(_usable_spec(spec), character)
-
-
-def _bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
-    """``bases`` on a spec that ``_usable_spec`` has already passed."""
+    spec = validate_spec(spec).spec
+    _require_usable(spec)
     if character.is_trivial():
         raise ValueError("the twisted matroid requires a nontrivial character")
     rank = matroid_rank(spec, character)
@@ -223,7 +214,8 @@ def _bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
 
 def untwisted_bases(spec: CoverSpec) -> tuple[EdgeSubset, ...]:
     """Bases of the untwisted matroid (voltages compared in the group itself)."""
-    spec = _usable_spec(spec)
+    spec = validate_spec(spec).spec
+    _require_usable(spec)
     rank = matroid_rank(spec, None)
     return tuple(
         subset
@@ -237,7 +229,8 @@ def untwisted_bases(spec: CoverSpec) -> tuple[EdgeSubset, ...]:
 
 def max_independent_size(spec: CoverSpec, character: Character | None = None) -> int:
     """Largest independent set size by exhaustive search (test oracle)."""
-    spec = _usable_spec(spec)
+    spec = validate_spec(spec).spec
+    _require_usable(spec)
     if character is not None and character.is_trivial():
         raise ValueError("the twisted matroid requires a nontrivial character")
     edges = spec.base.edges
@@ -260,19 +253,7 @@ class WeightReport:
 
 def weight_polynomial(spec: CoverSpec, character: Character) -> WeightReport:
     """Basis-generating polynomial with cyclotomic weights, and its value at 1."""
-    return _weight_report(_usable_spec(spec), character)
-
-
-def weight_polynomials(spec: CoverSpec, chars: list[Character]) -> list[WeightReport]:
-    """``weight_polynomial`` at each character, checking the spec once."""
-    if not chars:
-        return []
-    spec = _usable_spec(spec)
-    return [_weight_report(spec, rho) for rho in chars]
-
-
-def _weight_report(spec: CoverSpec, character: Character) -> WeightReport:
-    matroid = _bases(spec, character)
+    matroid = bases(spec, character)
     terms = {}
     for basis, weight in zip(matroid.bases, matroid.weights):
         mono = tuple((e, 1) for e in basis)

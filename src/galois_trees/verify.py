@@ -29,7 +29,7 @@ from .jacobians import (
     jacobian_polynomial,
     specialized_jacobian_polynomial,
 )
-from .matroids import TwistedMatroid, weight_polynomials
+from .matroids import TwistedMatroid, WeightReport, weight_polynomial
 
 DEFAULT_ENUMERATION_CAP = 200_000
 
@@ -121,8 +121,10 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
     reports = []
     product = MultiPoly.const(1)
     scalar_product = CycInt.from_int(group.exponent, 1)
-    nontrivial = [rho for rho in characters(group) if not rho.is_trivial()]
-    for rho, report in zip(nontrivial, weight_polynomials(spec, nontrivial)):
+    for rho in characters(group):
+        if rho.is_trivial():
+            continue
+        report: WeightReport = weight_polynomial(spec, rho)
         reports.append(
             CharacterReport(
                 character=rho,

@@ -8,7 +8,6 @@ from galois_trees import (
     CoverSpec,
     CycInt,
     MultiPoly,
-    assemble_rhs,
     bases,
     basis_weight,
     build_cover,
@@ -330,27 +329,3 @@ def test_matroids_build_no_cover(monkeypatch):
         ):
             with pytest.raises(ValueError, match="connected"):
                 call()
-
-
-def test_assemble_rhs_validates_once(monkeypatch):
-    spec = CoverSpec(
-        base=theta_graph(), group=AbelianGroup((12,)), voltage={"f": (1,), "g": (3,)}
-    )
-    nontrivial = [rho for rho in characters(spec.group) if not rho.is_trivial()]
-    expected = [weight_polynomial(spec, rho).polynomial for rho in nontrivial]
-    calls = []
-    original = matroids.validate_spec
-
-    def counting(spec):
-        calls.append(spec)
-        return original(spec)
-
-    monkeypatch.setattr(matroids, "validate_spec", counting)
-    reports = assemble_rhs(spec)[2]
-    assert len(calls) == 1
-    assert [rep.polynomial for rep in reports] == expected
-    # the public entry points still check their input themselves
-    weight_polynomial(spec, nontrivial[0])
-    bases(spec, nontrivial[0])
-    basis_weight(spec, nontrivial[0], reports[0].matroid.bases[0])
-    assert len(calls) == 4
