@@ -5,22 +5,21 @@ cyclotomic polynomial, stored as a coefficient tuple on the power basis
 1, zeta, ..., zeta^(phi(m)-1).  All arithmetic is exact; a floating-point
 embedding into the complex numbers is provided for display and sanity
 checks only.
+
+The Galois automorphisms sigma_k: zeta -> zeta^k (k prime to m) act on
+values directly.  Exact division by a non-integer b goes through the norm:
+with b' the product of the other conjugates sigma_k(b), N(b) = b b' is a
+rational integer, so a / b = a b' / N(b) needs only ring multiplications
+and one coefficient-wise integer division.
 """
 
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
 from functools import cache
+from math import gcd
 
 from ..errors import ExactDivisionError
-
-
-def _trimmed(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
 
 
 def _dense_div_exact(num, den):
@@ -193,12 +192,26 @@ class CycInt:
 
     # -- structure ------------------------------------------------------
 
+    def galois(self, k: int) -> CycInt:
+        """The automorphism sigma_k: zeta -> zeta^k, for k prime to the conductor.
+
+        >>> z = CycInt.root(5, 1)
+        >>> z.galois(2) == CycInt.root(5, 2)
+        True
+        >>> sum(z.galois(k) for k in range(1, 5)).as_int()
+        -1
+        """
+        m = self.conductor
+        if gcd(k, m) != 1:
+            raise ValueError(f"zeta -> zeta^{k} is not an automorphism of Z[zeta_{m}]")
+        dense = [0] * m
+        for i, c in enumerate(self.coeffs):
+            dense[(i * k) % m] += c
+        return CycInt(m, dense)
+
     def conj(self) -> CycInt:
         """The automorphism zeta -> zeta^(-1); fixes rational values."""
-        dense = [0] * self.conductor
-        for i, c in enumerate(self.coeffs):
-            dense[(-i) % self.conductor] += c
-        return CycInt(self.conductor, dense)
+        return self.galois(-1)
 
     def as_int(self) -> int | None:
         """The rational integer this value equals, or None."""
@@ -212,8 +225,6 @@ class CycInt:
 
     def exact_div(self, other) -> CycInt:
         """Exact division in Z[zeta_m]; raises ExactDivisionError otherwise."""
-        if isinstance(other, int):
-            other = CycInt.from_int(self.conductor, other)
         a, b = self._pair(other)
         if not b:
             raise ZeroDivisionError("division by zero in Z[zeta]")
@@ -228,25 +239,19 @@ class CycInt:
                     )
                 out.append(q)
             return CycInt(a.conductor, out)
-        inv = _inverse_mod_cyclotomic(b)
-        prod = [Fraction(0)] * (len(a.coeffs) + len(inv) - 1)
-        for i, x in enumerate(a.coeffs):
-            if x:
-                for j, y in enumerate(inv):
-                    prod[i + j] += x * y
-        phi = cyclotomic_polynomial(a.conductor)
-        deg = len(phi) - 1
-        for i in reversed(range(deg, len(prod))):
-            c = prod[i]
-            if c:
-                for j, p in enumerate(phi):
-                    prod[i - deg + j] -= c * p
-        out = prod[:deg] + [Fraction(0)] * (deg - len(prod))
-        if any(c.denominator != 1 for c in out):
+        # a / b = a b' / N(b), with b' the product of the other conjugates of b
+        m = a.conductor
+        others = CycInt.from_int(m, 1)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                others = others * b.galois(k)
+        norm = (b * others).as_int()
+        num = a * others
+        if any(c % norm for c in num.coeffs):
             raise ExactDivisionError(
                 f"{a!r} is not divisible by {b!r} in Z[zeta]", remainder=a
             )
-        return CycInt(a.conductor, [int(c) for c in out])
+        return CycInt(m, [c // norm for c in num.coeffs])
 
     def __repr__(self):
         n = self.as_int()
@@ -272,48 +277,6 @@ class CycInt:
             else:
                 parts.append(f"{c}*{var}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def _frac_poly_divmod(a, b):
-    a = [Fraction(c) for c in a]
-    b = [Fraction(c) for c in b]
-    b = _trimmed(b)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 1)
-    r = a[:]
-    while len(_trimmed(r)) >= len(b):
-        r = _trimmed(r)
-        shift = len(r) - len(b)
-        c = r[-1] / b[-1]
-        q[shift] += c
-        for j, p in enumerate(b):
-            r[shift + j] -= c * p
-    return q, _trimmed(r)
-
-
-def _inverse_mod_cyclotomic(b: CycInt):
-    """Rational coefficients u with u * b == 1 modulo the cyclotomic polynomial."""
-    phi = [Fraction(c) for c in cyclotomic_polynomial(b.conductor)]
-    # Extended Euclid on (b, phi); phi is irreducible so the gcd is a constant.
-    r0, r1 = [Fraction(c) for c in b.coeffs], phi
-    s0, s1 = [Fraction(1)], [Fraction(0)]
-    while _trimmed(r1):
-        q, r = _frac_poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        qs = [Fraction(0)] * (len(q) + len(s1) - 1)
-        for i, x in enumerate(q):
-            if x:
-                for j, y in enumerate(s1):
-                    qs[i + j] += x * y
-        new_s = [Fraction(0)] * max(len(s0), len(qs))
-        for i, x in enumerate(s0):
-            new_s[i] += x
-        for i, x in enumerate(qs):
-            new_s[i] -= x
-        s0, s1 = s1, _trimmed(new_s) or [Fraction(0)]
-    g = _trimmed(r0)
-    if len(g) != 1:
-        raise ZeroDivisionError("element is not invertible modulo the cyclotomic polynomial")
-    return [c / g[0] for c in s0]
 
 
 def weight_of_root(m: int, power: int) -> CycInt:

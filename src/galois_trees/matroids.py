@@ -10,9 +10,10 @@ independent sets of size
 
 and each basis gets a weight: the product over the complementary genus-one
 components of (1 - value)(1 - conjugate value) at the component's cycle
-voltage, an exact cyclotomic integer.  Passing ``character=None`` runs the
-same machinery against the group itself instead of a character image,
-giving the untwisted matroid.
+voltage, an exact cyclotomic integer.  One oracle serves every entry
+point: it sees G through an image map (the character's value exponent, or
+"nonzero in G" for the untwisted matroid, ``character=None``), and a
+basis's weight is read off the component pass that found it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import combinations
 from .algebra import CycInt, MultiPoly, weight_of_root
 from .covers import CoverSpec, validate_spec
 from .graphs import EdgeSubset, Graph, connected_components, genus
-from .groups import Character, character_kills, subgroup_from_generators
+from .groups import Character, subgroup_from_generators
 
 __all__ = [
     "TwistedMatroid",
@@ -31,7 +32,9 @@ __all__ = [
     "bases",
     "basis_weight",
     "is_independent",
+    "matroid_rank",
     "max_independent_size",
+    "untwisted_bases",
     "weight_polynomial",
 ]
 
@@ -49,23 +52,19 @@ def _cycle_voltages(spec: CoverSpec, comp_vertices: list[str], comp_edges: list[
     g = spec.base
     potential = {comp_vertices[0]: group.zero()}
     tree_edges: set[str] = set()
-    adj: dict[str, list[tuple[str, str, int]]] = {v: [] for v in comp_vertices}
+    adj: dict[str, list[tuple[str, str, tuple]]] = {v: [] for v in comp_vertices}
     for e in comp_edges:
         s, t = g.ends[e]
-        adj[s].append((e, t, 1))
-        if s != t:
-            adj[t].append((e, s, -1))
+        adj[s].append((e, t, spec.voltage_on(e)))
+        adj[t].append((e, s, group.neg(spec.voltage_on(e))))
     stack = [comp_vertices[0]]
     while stack:
         v = stack.pop()
-        for e, w, direction in adj[v]:
-            if w in potential:
-                continue
-            eta = spec.voltage_on(e)
-            step = eta if direction == 1 else group.neg(eta)
-            potential[w] = group.add(potential[v], step)
-            tree_edges.add(e)
-            stack.append(w)
+        for e, w, step in adj[v]:
+            if w not in potential:
+                potential[w] = group.add(potential[v], step)
+                tree_edges.add(e)
+                stack.append(w)
     values = []
     for e in comp_edges:
         if e in tree_edges:
@@ -75,19 +74,6 @@ def _cycle_voltages(spec: CoverSpec, comp_vertices: list[str], comp_edges: list[
         # closing the tree path: potential(s) + eta - potential(t)
         values.append(group.add(group.add(potential[s], eta), group.neg(potential[t])))
     return values
-
-
-def _component_is_visible(spec, rho, comp_v, comp_e) -> bool:
-    if rho is None:
-        if any(not spec.dilation_at(v).is_trivial() for v in comp_v):
-            return True
-        zero = spec.group.zero()
-        return any(val != zero for val in _cycle_voltages(spec, comp_v, comp_e))
-    if any(not character_kills(rho, spec.dilation_at(v)) for v in comp_v):
-        return True
-    return any(
-        rho.value_exponent(val) != 0 for val in _cycle_voltages(spec, comp_v, comp_e)
-    )
 
 
 def _require_usable(spec: CoverSpec):
@@ -107,31 +93,76 @@ def _require_usable(spec: CoverSpec):
         raise ValueError("the matroid requires a connected cover")
 
 
-def is_independent(spec: CoverSpec, edge_set, character: Character | None = None) -> bool:
-    """Independence oracle: deleting the edges must leave only visible components."""
+def _usable(spec: CoverSpec, character: Character | None = None, trivial_error=None):
+    """Validate a public entry's spec; ``trivial_error`` also rejects rho = 1."""
     spec = validate_spec(spec).spec
     _require_usable(spec)
+    if trivial_error and character is not None and character.is_trivial():
+        raise ValueError(trivial_error)
+    return spec
+
+
+def _image(spec: CoverSpec, character: Character | None):
+    """The map the matroid sees G through; 0 or False means unseen."""
+    if character is None:
+        return any  # a reduced element is nonzero when some residue is
+    if character.group != spec.group:
+        raise ValueError("character and subgroup belong to different groups")
+    return character.value_exponent
+
+
+def _seen_dilation(spec: CoverSpec, image) -> set[str]:
+    """Vertices whose dilation subgroup has an element of nonzero image."""
+    return {
+        v for v in spec.base.vertices if any(map(image, spec.dilation_at(v).elements))
+    }
+
+
+def _oracle(spec: CoverSpec, image):
+    """Independence oracle of the matroid that sees G through ``image``: an edge
+    set maps to (seen dilated vertices, cycle images; their number is the
+    genus) per component of the base minus it, or to None when dependent."""
+    seen = _seen_dilation(spec, image)
+
+    def pieces(removed):
+        out = []
+        for comp_v, comp_e in _deletion_components(spec.base, set(removed)):
+            dilated = sum(1 for v in comp_v if v in seen)
+            cycles = [image(x) for x in _cycle_voltages(spec, comp_v, comp_e)]
+            if not dilated and not any(cycles):
+                return None
+            out.append((dilated, cycles))
+        return out
+
+    return pieces
+
+
+def _weight(m: int, pieces, basis) -> CycInt:
+    """Weight of a basis from its oracle pieces; raises unless each piece is one
+    seen dilated vertex, or one cycle of image e != 0 weighing (1 - z^e)(1 - z^-e)."""
+    if pieces is None:
+        raise ValueError(f"{basis} is not a basis")
+    weight = CycInt.from_int(m, 1)
+    for dilated, cycles in pieces:
+        if dilated == 0 and len(cycles) == 1:
+            weight = weight * weight_of_root(m, cycles[0])
+        elif dilated != 1 or cycles:
+            raise ValueError(f"{basis} is not a basis")
+    return weight
+
+
+def is_independent(spec: CoverSpec, edge_set, character: Character | None = None) -> bool:
+    """Independence oracle: deleting the edges must leave only visible components."""
+    spec = _usable(spec)
     removed = set(edge_set)
     unknown = removed - set(spec.base.edges)
     if unknown:
         raise ValueError(f"unknown edge id {sorted(unknown)[0]!r}")
-    return all(
-        _component_is_visible(spec, character, cv, ce)
-        for cv, ce in _deletion_components(spec.base, removed)
-    )
+    return _oracle(spec, _image(spec, character))(removed) is not None
 
 
 def matroid_rank(spec: CoverSpec, character: Character | None = None) -> int:
-    g = genus(spec.base)
-    if character is None:
-        dilated = sum(1 for v in spec.base.vertices if not spec.dilation_at(v).is_trivial())
-    else:
-        dilated = sum(
-            1
-            for v in spec.base.vertices
-            if not character_kills(character, spec.dilation_at(v))
-        )
-    return g - 1 + dilated
+    return genus(spec.base) - 1 + len(_seen_dilation(spec, _image(spec, character)))
 
 
 @dataclass(frozen=True)
@@ -146,63 +177,33 @@ class TwistedMatroid:
         return self.weights[self.bases.index(tuple(basis))]
 
 
-def _basis_weight_checked(spec, rho, removed) -> CycInt:
-    """Weight of a presumed basis; raises if a component has the wrong shape."""
-    m = spec.group.exponent
-    weight = CycInt.from_int(m, 1)
-    for comp_v, comp_e in _deletion_components(spec.base, set(removed)):
-        if rho is None:
-            raise ValueError("weights are defined for characters only")
-        visible = [
-            v for v in comp_v if not character_kills(rho, spec.dilation_at(v))
-        ]
-        comp_genus = len(comp_e) - len(comp_v) + 1
-        if len(visible) == 1 and comp_genus == 0:
-            continue
-        if not visible and comp_genus == 1:
-            cycles = _cycle_voltages(spec, comp_v, comp_e)
-            exponent = rho.value_exponent(cycles[0])
-            if exponent == 0:
-                raise ValueError(f"{tuple(removed)} is not a basis")
-            weight = weight * weight_of_root(m, exponent)
-            continue
-        raise ValueError(f"{tuple(removed)} is not a basis")
-    return weight
-
-
 def basis_weight(spec: CoverSpec, character: Character, basis) -> CycInt:
     """Weight of a single basis; errors if the set is not a basis."""
-    spec = validate_spec(spec).spec
-    _require_usable(spec)
-    if character.is_trivial():
-        raise ValueError("weights require a nontrivial character")
+    spec = _usable(spec, character, "weights require a nontrivial character")
     basis = tuple(sorted(basis))
     if len(basis) != matroid_rank(spec, character):
         raise ValueError(f"{basis} is not a basis")
-    return _basis_weight_checked(spec, character, basis)
+    pieces = _oracle(spec, _image(spec, character))(basis)
+    return _weight(spec.group.exponent, pieces, basis)
 
 
 def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
     """Enumerate all bases of the twisted matroid, with weights.
 
-    Brute force over rank-sized edge subsets against the component oracle;
-    output is lexicographic.
+    Brute force over rank-sized edge subsets against the component oracle,
+    each weight read off the pass that found its basis; output is
+    lexicographic.
     """
-    spec = validate_spec(spec).spec
-    _require_usable(spec)
-    if character.is_trivial():
-        raise ValueError("the twisted matroid requires a nontrivial character")
+    spec = _usable(spec, character, "the twisted matroid requires a nontrivial character")
     rank = matroid_rank(spec, character)
+    pieces_of = _oracle(spec, _image(spec, character))
     found = []
     weights = []
     for subset in combinations(spec.base.edges, rank):
-        removed = set(subset)
-        comps = _deletion_components(spec.base, removed)
-        if all(
-            _component_is_visible(spec, character, cv, ce) for cv, ce in comps
-        ):
+        pieces = pieces_of(subset)
+        if pieces is not None:
             found.append(subset)
-            weights.append(_basis_weight_checked(spec, character, subset))
+            weights.append(_weight(spec.group.exponent, pieces, subset))
     return TwistedMatroid(
         spec=spec,
         character=character,
@@ -214,32 +215,20 @@ def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
 
 def untwisted_bases(spec: CoverSpec) -> tuple[EdgeSubset, ...]:
     """Bases of the untwisted matroid (voltages compared in the group itself)."""
-    spec = validate_spec(spec).spec
-    _require_usable(spec)
-    rank = matroid_rank(spec, None)
-    return tuple(
-        subset
-        for subset in combinations(spec.base.edges, rank)
-        if all(
-            _component_is_visible(spec, None, cv, ce)
-            for cv, ce in _deletion_components(spec.base, set(subset))
-        )
-    )
+    spec = _usable(spec)
+    pieces_of = _oracle(spec, any)
+    subsets = combinations(spec.base.edges, matroid_rank(spec, None))
+    return tuple(subset for subset in subsets if pieces_of(subset) is not None)
 
 
 def max_independent_size(spec: CoverSpec, character: Character | None = None) -> int:
     """Largest independent set size by exhaustive search (test oracle)."""
-    spec = validate_spec(spec).spec
-    _require_usable(spec)
-    if character is not None and character.is_trivial():
-        raise ValueError("the twisted matroid requires a nontrivial character")
+    spec = _usable(spec, character, "the twisted matroid requires a nontrivial character")
+    pieces_of = _oracle(spec, _image(spec, character))
     edges = spec.base.edges
     for size in range(len(edges), -1, -1):
         for subset in combinations(edges, size):
-            if all(
-                _component_is_visible(spec, character, cv, ce)
-                for cv, ce in _deletion_components(spec.base, set(subset))
-            ):
+            if pieces_of(subset) is not None:
                 return size
     raise AssertionError("even the empty set is dependent")
 
@@ -254,12 +243,8 @@ class WeightReport:
 def weight_polynomial(spec: CoverSpec, character: Character) -> WeightReport:
     """Basis-generating polynomial with cyclotomic weights, and its value at 1."""
     matroid = bases(spec, character)
-    terms = {}
-    for basis, weight in zip(matroid.bases, matroid.weights):
-        mono = tuple((e, 1) for e in basis)
-        terms[mono] = terms.get(mono, 0) + weight
-    poly = MultiPoly(terms)
-    scalar = poly.value_at_ones()
-    if isinstance(scalar, int):
-        scalar = CycInt.from_int(spec.group.exponent, scalar)
+    poly = MultiPoly(
+        {tuple((e, 1) for e in b): w for b, w in zip(matroid.bases, matroid.weights)}
+    )
+    scalar = sum(matroid.weights, CycInt.from_int(spec.group.exponent, 0))
     return WeightReport(matroid=matroid, polynomial=poly, scalar=scalar)

@@ -223,7 +223,8 @@ def l_leading_at_one(
 
 
 def closed_path_census(g: Graph, max_length: int) -> dict[int, int]:
-    """Counts of closed, cyclically reduced paths by length, up to max_length.
+    """Counts of closed, cyclically reduced paths by length, up to max_length
+    (from 1 to 12).
 
     A path is a sequence of oriented edges, consecutive ones composing head
     to tail, closing up, and never immediately backtracking (including
@@ -231,6 +232,8 @@ def closed_path_census(g: Graph, max_length: int) -> dict[int, int]:
     matches the trace of powers of the unit-length edge matrix.  Explicit
     enumeration, no matrix involved.
     """
+    if max_length < 1:
+        raise ValueError("census length must be at least 1")
     if max_length > 12:
         raise ValueError("census length is capped at 12")
     oriented = _oriented_edges(g)

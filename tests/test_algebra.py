@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from galois_trees import (
     CycInt,
@@ -111,6 +112,53 @@ def test_cyc_exact_division_roundtrip(m, ca, cb):
 def test_cyc_division_failure():
     with pytest.raises(ExactDivisionError):
         CycInt.from_int(5, 3).exact_div(CycInt.from_int(5, 2))
+
+
+@given(st.sampled_from((12, 24, 30)), st.data())
+def test_cyc_norm_division_dense_roundtrip(m, data):
+    # dense operands on the whole power basis, divisor never a rational integer
+    dense = st.lists(st.integers(-9, 9), min_size=euler_phi(m), max_size=euler_phi(m))
+    a, b = CycInt(m, data.draw(dense)), CycInt(m, data.draw(dense))
+    assume(b.as_int() is None)
+    assert (a * b).exact_div(b) == a
+
+
+def test_cyc_norm_division_failure():
+    one_minus_z = 1 - CycInt.root(5, 1)
+    with pytest.raises(ExactDivisionError):
+        CycInt.from_int(5, 1).exact_div(one_minus_z)
+    # 1 - zeta_5 is not a unit, but it divides its norm 5
+    assert CycInt.from_int(5, 5).exact_div(one_minus_z) * one_minus_z == 5
+
+
+def _units(m):
+    return [k for k in range(-m, 2 * m) if gcd(k, m) == 1]
+
+
+@given(st.integers(1, 30), st.data())
+def test_galois_action_is_a_ring_automorphism(m, data):
+    coeffs = st.lists(st.integers(-6, 6), min_size=1, max_size=euler_phi(m))
+    a, b = CycInt(m, data.draw(coeffs)), CycInt(m, data.draw(coeffs))
+    k = data.draw(st.sampled_from(_units(m)))
+    l = data.draw(st.sampled_from(_units(m)))
+    assert (a + b).galois(k) == a.galois(k) + b.galois(k)
+    assert (a * b).galois(k) == a.galois(k) * b.galois(k)
+    assert a.galois(l).galois(k) == a.galois(k * l)
+    assert a.conj() == a.galois(-1)
+
+
+@given(st.sampled_from((2, 3, 5, 7, 11)), st.lists(st.integers(-6, 6), min_size=1, max_size=10))
+def test_galois_norm_is_rational(p, coeffs):
+    b = CycInt(p, coeffs)
+    norm = CycInt.from_int(p, 1)
+    for k in range(1, p):
+        norm = norm * b.galois(k)
+    assert norm.as_int() is not None
+
+
+def test_galois_needs_a_unit_exponent():
+    with pytest.raises(ValueError, match="automorphism"):
+        CycInt.root(6, 1).galois(2)
 
 
 def test_multipoly_divide_roundtrip_example():

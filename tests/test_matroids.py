@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -20,6 +21,7 @@ from galois_trees import (
     matroid_rank,
     max_independent_size,
     subgroup_from_generators,
+    switch_voltages,
     twisted_laplacian_det,
     untwisted_bases,
     validate_spec,
@@ -329,3 +331,39 @@ def test_matroids_build_no_cover(monkeypatch):
         ):
             with pytest.raises(ValueError, match="connected"):
                 call()
+
+
+def test_switching_leaves_twisted_matroids_unchanged():
+    rng = random.Random(38)
+    dilated = 0
+    for _ in range(40):
+        spec, _ = random_cover_spec(rng, max_vertices=4, max_edges=6)
+        dilated += not spec.is_free()
+        xi = {v: random_element(rng, spec.group) for v in spec.base.vertices}
+        switched = switch_voltages(spec, xi)
+        assert untwisted_bases(switched) == untwisted_bases(spec)
+        for rho in characters(spec.group):
+            if rho.is_trivial():
+                continue
+            mine, theirs = weight_polynomial(spec, rho), weight_polynomial(switched, rho)
+            assert theirs.matroid.bases == mine.matroid.bases
+            assert theirs.matroid.weights == mine.matroid.weights
+            assert theirs.polynomial == mine.polynomial
+            assert theirs.scalar == mine.scalar
+    assert dilated >= 10
+
+
+def test_bases_make_one_component_pass_per_subset(monkeypatch):
+    calls = []
+    original = matroids._deletion_components
+
+    def counted(g, removed):
+        calls.append(set(removed))
+        return original(g, removed)
+
+    monkeypatch.setattr(matroids, "_deletion_components", counted)
+    spec = icosahedron_spec()
+    matroid = bases(spec, characters(spec.group)[1])
+    assert len(matroid.bases) == 13
+    # one pass per rank-sized subset, plus the connectivity check
+    assert len(calls) == comb(6, 4) + 1 == 16

@@ -273,6 +273,14 @@ def test_cli_zeta_and_lfunction():
     assert result.exit_code == 2
 
 
+def test_cli_zeta_rejects_negative_census_length():
+    result = CliRunner().invoke(
+        main, ["zeta", str(SPEC_DIR / "theta.json"), "--max-length", "-3"]
+    )
+    assert result.exit_code == 2, result.output
+    assert "at least 1" in result.output
+
+
 def test_cli_bad_inputs():
     runner = CliRunner()
     result = runner.invoke(main, ["verify", "/nonexistent.json"])

@@ -294,6 +294,9 @@ def test_census_matches_log_series():
 def test_census_bound():
     with pytest.raises(ValueError, match="cap"):
         closed_path_census(triangle_graph(), 13)
+    for length in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            closed_path_census(triangle_graph(), length)
 
 
 def test_icosahedron_resolution_l_leading_consistency():
