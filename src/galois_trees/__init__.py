@@ -17,7 +17,6 @@ from .algebra import (
     det_over_ring,
     euler_phi,
     int_det,
-    poly_from_terms,
     smith_normal_form,
     weight_of_root,
 )

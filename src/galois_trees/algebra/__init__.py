@@ -2,7 +2,7 @@
 
 from .cyclotomic import CycInt, cyclotomic_polynomial, euler_phi, weight_of_root
 from .intmat import SmithForm, det_over_ring, int_det, smith_normal_form
-from .multipoly import MultiPoly, poly_from_terms
+from .multipoly import MultiPoly
 from .unipoly import UniPoly
 
 __all__ = [
@@ -14,7 +14,6 @@ __all__ = [
     "det_over_ring",
     "euler_phi",
     "int_det",
-    "poly_from_terms",
     "smith_normal_form",
     "weight_of_root",
 ]

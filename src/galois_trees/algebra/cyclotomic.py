@@ -226,6 +226,8 @@ class CycInt:
     def exact_div(self, other) -> CycInt:
         """Exact division in Z[zeta_m]; raises ExactDivisionError otherwise."""
         a, b = self._pair(other)
+        if a is NotImplemented:
+            raise TypeError("divisor must be an int or a CycInt")
         if not b:
             raise ZeroDivisionError("division by zero in Z[zeta]")
         n = b.as_int()
@@ -253,6 +255,14 @@ class CycInt:
             )
         return CycInt(m, [c // norm for c in num.coeffs])
 
+    def to_jsonable(self) -> dict:
+        """{"conductor", "coeffs", "embedding"}: the real part of the embedding to 12 digits."""
+        return {
+            "conductor": self.conductor,
+            "coeffs": list(self.coeffs),
+            "embedding": f"{self.embed().real:.12g}",
+        }
+
     def __repr__(self):
         n = self.as_int()
         if n is not None:
@@ -277,6 +287,14 @@ class CycInt:
             else:
                 parts.append(f"{c}*{var}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def jsonable_coefficient(c):
+    """A polynomial coefficient as JSON: its int value, else {"conductor", "coeffs"}."""
+    if not isinstance(c, CycInt):
+        return c
+    n = c.as_int()
+    return n if n is not None else {"conductor": c.conductor, "coeffs": list(c.coeffs)}
 
 
 def weight_of_root(m: int, power: int) -> CycInt:

@@ -8,10 +8,10 @@ identifiers in practice, hence arbitrary strings.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from ..errors import ExactDivisionError
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, jsonable_coefficient
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -290,18 +290,10 @@ class MultiPoly:
         return sorted(self.terms.items(), key=lambda item: item[0])
 
     def to_jsonable(self) -> list[dict]:
-        out = []
-        for mono, c in self.canonical_terms():
-            if isinstance(c, CycInt):
-                n = c.as_int()
-                coeff = n if n is not None else {
-                    "conductor": c.conductor,
-                    "coeffs": list(c.coeffs),
-                }
-            else:
-                coeff = c
-            out.append({"coeff": coeff, "exps": {v: e for v, e in mono}})
-        return out
+        return [
+            {"coeff": jsonable_coefficient(c), "exps": dict(mono)}
+            for mono, c in self.canonical_terms()
+        ]
 
     def __repr__(self):
         return f"MultiPoly({self.terms!r})"
@@ -325,15 +317,3 @@ class MultiPoly:
                 parts.append(cs + "*" + "*".join(factors))
         return " + ".join(parts).replace("+ -", "- ")
 
-
-def poly_from_terms(pairs: Iterable[tuple[Mapping[str, int], object]]) -> MultiPoly:
-    """Build a polynomial from (exponent-map, coefficient) pairs."""
-    terms: dict[Monomial, object] = {}
-    for exps, c in pairs:
-        mono = tuple(sorted((v, e) for v, e in exps.items() if e))
-        s = terms.get(mono, 0) + c
-        if s:
-            terms[mono] = s
-        else:
-            terms.pop(mono, None)
-    return MultiPoly(terms)

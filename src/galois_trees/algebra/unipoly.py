@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb
 
 from ..errors import ExactDivisionError
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, jsonable_coefficient
 from .division import exact_quotient
 
 
@@ -157,7 +157,9 @@ class UniPoly:
 
     def exact_div(self, other) -> UniPoly:
         other = self._coerce(other)
-        if other is None or not other:
+        if other is None:
+            raise TypeError("divisor must be a polynomial or scalar")
+        if not other:
             raise ZeroDivisionError("division by zero polynomial")
         rem = list(self.coeffs)
         dd = other.degree
@@ -181,6 +183,9 @@ class UniPoly:
                 "polynomial division is not exact", remainder=UniPoly(rem)
             )
         return UniPoly(quot)
+
+    def to_jsonable(self) -> list:
+        return [jsonable_coefficient(c) for c in self.coeffs]
 
     def __repr__(self):
         return f"UniPoly({self.coeffs})"

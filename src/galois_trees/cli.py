@@ -1,19 +1,21 @@
 """Command-line interface.
 
-Every command reads one specification file, writes JSON (default) or text to
-stdout, and exits 0 on success, 1 when a verification decides "not equal",
-and 2 on input or usage errors.
+Every command reads one specification file and writes JSON (default) or text
+to stdout.  Exit code 0 means success, and 1 only ever means that ``verify``
+decided "not equal".  Every malformed input exits 2: a spec file that cannot
+be read or parsed, a bad option value, or a spec the command cannot handle.
+Only an internal fault ends in a traceback (also exit 1), never a verdict.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 
 import click
 
 from .covers import build_cover, free_resolution, is_connected_cover, validate_spec
-from .errors import SpecFormatError
 from .graphs import degree_sequence, genus
 from .groups import characters
 from .jacobians import jacobian_group, jacobian_polynomial, specialized_jacobian_polynomial
@@ -29,15 +31,6 @@ from .zeta import (
 )
 
 SCHEMA = "galois-trees/1"
-
-
-def _load_spec(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_spec(fh.read())
-    except (OSError, SpecFormatError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
 
 
 def _emit(payload: dict, fmt: str):
@@ -61,8 +54,7 @@ def _parse_lengths(spec, lengths: str | None):
         e, _, raw = part.partition("=")
         e = e.strip()
         if e not in set(spec.base.edges):
-            click.echo(f"error: unknown edge {e!r} in --lengths", err=True)
-            sys.exit(2)
+            raise ValueError(f"unknown edge {e!r} in --lengths")
         try:
             out[e] = int(raw)
         except ValueError:
@@ -73,27 +65,16 @@ def _parse_lengths(spec, lengths: str | None):
 def _character(spec, index: int):
     chars = characters(spec.group)
     if not 0 <= index < len(chars):
-        click.echo(
-            f"error: character index {index} out of range 0..{len(chars) - 1}",
-            err=True,
-        )
-        sys.exit(2)
+        raise ValueError(f"character index {index} out of range 0..{len(chars) - 1}")
     return chars[index]
-
-
-def _unipoly_json(p):
-    out = []
-    for c in p.coeffs:
-        if isinstance(c, int):
-            out.append(c)
-        else:
-            n = c.as_int()
-            out.append(n if n is not None else {"conductor": c.conductor, "coeffs": list(c.coeffs)})
-    return out
 
 
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "text"]), default="json"
+)
+character_option = click.option("--character", "index", type=int, required=True)
+lengths_option = click.option(
+    "--lengths", default=None, help="edge=int,edge=int,... (default all 1)"
 )
 
 
@@ -102,12 +83,40 @@ def main():
     """Exact abelian covers of multigraphs and their tree-count factorizations."""
 
 
-@main.command()
-@click.argument("specfile", type=click.Path(exists=True))
-@format_option
-def build(specfile, fmt):
+def command(*options):
+    """Register ``body(spec, **options) -> payload`` as a command of ``main``.
+
+    The command takes SPECFILE, the given options and ``--format``.  It parses
+    the spec, runs the body and writes the payload.  A ValueError from either
+    step, an unreadable file included, is written as ``error: ...`` to stderr
+    with exit 2; a payload that decides ``"equal": false`` exits 1.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def run(specfile, fmt, **kwargs):
+            try:
+                with open(specfile, "r", encoding="utf-8") as fh:
+                    spec = parse_spec(fh.read())
+                payload = body(spec, **kwargs)
+            except (OSError, ValueError) as exc:
+                click.echo(f"error: {exc}", err=True)
+                sys.exit(2)
+            _emit(payload, fmt)
+            if payload.get("equal") is False:
+                sys.exit(1)
+
+        for decorator in (format_option, *reversed(options)):
+            run = decorator(run)
+        run = click.argument("specfile", type=click.Path(exists=True))(run)
+        return main.command()(run)
+
+    return register
+
+
+@command()
+def build(spec):
     """Construct the cover and print its shape."""
-    spec = _load_spec(specfile)
     normalized, reduced = validate_spec(spec)
     cover = build_cover(normalized)
     payload = {
@@ -126,151 +135,82 @@ def build(specfile, fmt):
     }
     if payload["connected"]:
         payload["genus"] = genus(cover.total)
-    _emit(payload, fmt)
+    return payload
 
 
-@main.command()
-@click.argument("specfile", type=click.Path(exists=True))
-@click.option("--cover", "on_cover", is_flag=True, help="use the built cover's total graph")
-@format_option
-def jacobian(specfile, on_cover, fmt):
+@command(click.option("--cover", "on_cover", is_flag=True, help="use the built cover's total graph"))
+def jacobian(spec, on_cover):
     """Critical group of the base graph (or of the cover with --cover)."""
-    spec = _load_spec(specfile)
-    graph = build_cover(spec).total if on_cover else spec.base
-    try:
-        group = jacobian_group(graph)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _emit(
-        {"invariant_factors": list(group.invariant_factors), "order": group.order},
-        fmt,
-    )
+    group = jacobian_group(build_cover(spec).total if on_cover else spec.base)
+    return {"invariant_factors": list(group.invariant_factors), "order": group.order}
 
 
-@main.command()
-@click.argument("specfile", type=click.Path(exists=True))
-@click.option("--cover", "on_cover", is_flag=True, help="cover polynomial in base variables")
-@format_option
-def jacpoly(specfile, on_cover, fmt):
+@command(click.option("--cover", "on_cover", is_flag=True, help="cover polynomial in base variables"))
+def jacpoly(spec, on_cover):
     """Spanning-tree polynomial of the base (or the specialized cover polynomial)."""
-    spec = _load_spec(specfile)
-    try:
-        if on_cover:
-            poly = specialized_jacobian_polynomial(build_cover(spec))
-        else:
-            poly = jacobian_polynomial(spec.base)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _emit({"polynomial": poly.to_jsonable(), "tree_count": poly.value_at_ones()}, fmt)
+    if on_cover:
+        poly = specialized_jacobian_polynomial(build_cover(spec))
+    else:
+        poly = jacobian_polynomial(spec.base)
+    return {"polynomial": poly.to_jsonable(), "tree_count": poly.value_at_ones()}
 
 
-@main.command()
-@click.argument("specfile", type=click.Path(exists=True))
-@click.option("--character", "index", type=int, required=True)
-@format_option
-def matroid(specfile, index, fmt):
+@command(character_option)
+def matroid(spec, index):
     """Twisted matroid bases, weights, and weight polynomial."""
-    spec = _load_spec(specfile)
     rho = _character(spec, index)
-    try:
-        report = weight_polynomial(spec, rho)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    payload = {
+    report = weight_polynomial(spec, rho)
+    return {
         "character_exponents": list(rho.exponents),
         "rank": report.matroid.rank,
         "bases": [
-            {
-                "edges": list(basis),
-                "weight": {
-                    "conductor": weight.conductor,
-                    "coeffs": list(weight.coeffs),
-                    "embedding": f"{weight.embed().real:.12g}",
-                },
-            }
+            {"edges": list(basis), "weight": weight.to_jsonable()}
             for basis, weight in zip(report.matroid.bases, report.matroid.weights)
         ],
         "weight_polynomial": report.polynomial.to_jsonable(),
-        "scalar_weight": {
-            "conductor": report.scalar.conductor,
-            "coeffs": list(report.scalar.coeffs),
-            "embedding": f"{report.scalar.embed().real:.12g}",
-        },
+        "scalar_weight": report.scalar.to_jsonable(),
     }
-    _emit(payload, fmt)
 
 
-@main.command()
-@click.argument("specfile", type=click.Path(exists=True))
-@click.option("--lengths", default=None, help="edge=int,edge=int,... (default all 1)")
-@click.option("--max-length", "census", type=int, default=0, help="closed path census")
-@format_option
-def zeta(specfile, lengths, census, fmt):
+@command(
+    lengths_option,
+    click.option("--max-length", "census", type=int, default=0, help="closed path census"),
+)
+def zeta(spec, lengths, census):
     """Zeta reciprocals of the base graph; optional closed-path census."""
-    spec = _load_spec(specfile)
     ell = _parse_lengths(spec, lengths)
-    try:
-        payload = {
-            "metric_zeta_reciprocal": _unipoly_json(metric_zeta_reciprocal(spec.base, ell)),
-            "ihara_zeta_reciprocal": _unipoly_json(ihara_zeta_reciprocal(spec.base)),
-        }
-        if census:
-            payload["census"] = closed_path_census(spec.base, census)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _emit(payload, fmt)
+    payload = {
+        "metric_zeta_reciprocal": metric_zeta_reciprocal(spec.base, ell).to_jsonable(),
+        "ihara_zeta_reciprocal": ihara_zeta_reciprocal(spec.base).to_jsonable(),
+    }
+    if census:
+        payload["census"] = closed_path_census(spec.base, census)
+    return payload
 
 
-@main.command()
-@click.argument("specfile", type=click.Path(exists=True))
-@click.option("--character", "index", type=int, required=True)
-@click.option("--lengths", default=None, help="edge=int,edge=int,... (default all 1)")
-@format_option
-def lfunction(specfile, index, lengths, fmt):
+@command(character_option, lengths_option)
+def lfunction(spec, index, lengths):
     """L-function reciprocals of a dilation-free cover at one character."""
-    spec = _load_spec(specfile)
     rho = _character(spec, index)
     ell = _parse_lengths(spec, lengths)
-    try:
-        payload = {
-            "character_exponents": list(rho.exponents),
-            "metric_l_reciprocal": _unipoly_json(metric_l_reciprocal(spec, rho, ell)),
-            "three_term_reciprocal": _unipoly_json(artin_l_reciprocal_three_term(spec, rho)),
-        }
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _emit(payload, fmt)
+    return {
+        "character_exponents": list(rho.exponents),
+        "metric_l_reciprocal": metric_l_reciprocal(spec, rho, ell).to_jsonable(),
+        "three_term_reciprocal": artin_l_reciprocal_three_term(spec, rho).to_jsonable(),
+    }
 
 
-@main.command()
-@click.argument("specfile", type=click.Path(exists=True))
-@format_option
-def resolve(specfile, fmt):
+@command()
+def resolve(spec):
     """Replace dilation by voltage loops; prints the dilation-free spec."""
-    spec = _load_spec(specfile)
     resolved, added = free_resolution(spec)
-    _emit({"added_edges": list(added), "spec": spec_to_dict(resolved)}, fmt)
+    return {"added_edges": list(added), "spec": spec_to_dict(resolved)}
 
 
-@main.command()
-@click.argument("specfile", type=click.Path(exists=True))
-@format_option
-def verify(specfile, fmt):
+@command()
+def verify(spec):
     """Verify the tree-polynomial factorization; exit 1 when it fails."""
-    spec = _load_spec(specfile)
-    try:
-        report = verify_main_theorem(spec)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(2)
-    _emit(report.summary(), fmt)
-    if not report.equal:
-        sys.exit(1)
+    return verify_main_theorem(spec).summary()
 
 
 if __name__ == "__main__":

@@ -40,12 +40,6 @@ class Graph:
     def root(self, h: HalfEdge) -> str:
         return self.ends[h[0]][h[1]]
 
-    def source(self, e: str) -> str:
-        return self.ends[e][0]
-
-    def target(self, e: str) -> str:
-        return self.ends[e][1]
-
     def is_loop(self, e: str) -> bool:
         s, t = self.ends[e]
         return s == t

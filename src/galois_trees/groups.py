@@ -49,9 +49,6 @@ class AbelianGroup:
     def neg(self, a: Element) -> Element:
         return tuple((-x) % n for x, n in zip(a, self.orders))
 
-    def scale(self, k: int, a: Element) -> Element:
-        return tuple((k * x) % n for x, n in zip(a, self.orders))
-
     def elements(self) -> list[Element]:
         return list(product(*(range(n) for n in self.orders)))
 
@@ -67,9 +64,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def contains(self, a: Element) -> bool:
-        return a in set(self.elements)
 
     def is_trivial(self) -> bool:
         return len(self.elements) == 1

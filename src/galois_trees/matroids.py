@@ -173,9 +173,6 @@ class TwistedMatroid:
     bases: tuple[EdgeSubset, ...]
     weights: tuple[CycInt, ...]
 
-    def weight_of(self, basis: EdgeSubset) -> CycInt:
-        return self.weights[self.bases.index(tuple(basis))]
-
 
 def basis_weight(spec: CoverSpec, character: Character, basis) -> CycInt:
     """Weight of a single basis; errors if the set is not a basis."""

@@ -26,6 +26,16 @@ _IGNORED_KEYS = {"schema", "name", "comment"}
 _KNOWN_KEYS = {"vertices", "edges", "group", "dilation", "voltage"} | _IGNORED_KEYS
 
 
+def _object(data: Mapping, key: str) -> Mapping:
+    """The optional object under ``key``; absent or null means empty."""
+    value = data.get(key)
+    if value is None:
+        return {}
+    if not isinstance(value, Mapping):
+        raise SpecFormatError(f'"{key}" must be an object')
+    return value
+
+
 def parse_spec(document: str | Mapping) -> CoverSpec:
     """Parse a specification document (JSON text or an already-loaded map)."""
     if isinstance(document, str):
@@ -57,6 +67,8 @@ def parse_spec(document: str | Mapping) -> CoverSpec:
             raise SpecFormatError(
                 'each edge must be an object with exactly "id", "src", "tgt"'
             )
+        if not all(isinstance(row[key], str) for key in ("id", "src", "tgt")):
+            raise SpecFormatError('edge "id", "src" and "tgt" must be strings')
         descriptions.append((row["id"], row["src"], row["tgt"]))
     try:
         base = build_graph(vertices, descriptions)
@@ -83,7 +95,7 @@ def parse_spec(document: str | Mapping) -> CoverSpec:
             raise SpecFormatError(f"{where}: {exc}") from exc
 
     dilation = {}
-    for v, gen_lists in (data.get("dilation") or {}).items():
+    for v, gen_lists in _object(data, "dilation").items():
         if v not in set(base.vertices):
             raise SpecFormatError(f"dilation names unknown vertex {v!r}")
         if not isinstance(gen_lists, list):
@@ -94,7 +106,7 @@ def parse_spec(document: str | Mapping) -> CoverSpec:
             dilation[v] = sub
 
     voltage = {}
-    for e, obj in (data.get("voltage") or {}).items():
+    for e, obj in _object(data, "voltage").items():
         if e not in set(base.edges):
             raise SpecFormatError(f"voltage names unknown edge {e!r}")
         elt = parse_element(obj, f"voltage on {e!r}")

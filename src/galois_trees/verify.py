@@ -61,10 +61,6 @@ class VerificationReport:
     equal: bool
 
     def summary(self) -> dict:
-        def embed_str(z: CycInt) -> str:
-            x = z.embed()
-            return f"{x.real:.12g}"
-
         return {
             "schema": "galois-trees/1",
             "cover": {
@@ -81,11 +77,7 @@ class VerificationReport:
                     "rank": rep.rank,
                     "basis_count": rep.basis_count,
                     "weight_polynomial": rep.polynomial.to_jsonable(),
-                    "scalar_weight": {
-                        "conductor": rep.scalar.conductor,
-                        "coeffs": list(rep.scalar.coeffs),
-                        "embedding": embed_str(rep.scalar),
-                    },
+                    "scalar_weight": rep.scalar.to_jsonable(),
                 }
                 for rep in self.characters
             ],

@@ -112,6 +112,9 @@ def test_cyc_exact_division_roundtrip(m, ca, cb):
 def test_cyc_division_failure():
     with pytest.raises(ExactDivisionError):
         CycInt.from_int(5, 3).exact_div(CycInt.from_int(5, 2))
+    for divisor in (Fraction(1, 2), 2.0):
+        with pytest.raises(TypeError):
+            CycInt.root(5, 1).exact_div(divisor)
 
 
 @given(st.sampled_from((12, 24, 30)), st.data())
@@ -275,6 +278,8 @@ def test_unipoly_exact_division():
     assert p.exact_div(1 - s**2) == 1 + 3 * s + s**4
     with pytest.raises(ExactDivisionError):
         (1 + s).exact_div(1 - s)
+    with pytest.raises(TypeError):
+        UniPoly((1, 2)).exact_div(2.0)
 
 
 def test_smith_normal_form_examples():

@@ -25,6 +25,7 @@ from galois_trees import (
     trivial_subgroup,
     validate_cover,
     validate_spec,
+    verify_main_theorem,
 )
 from helpers import (
     dumbbell_z6_spec,
@@ -286,6 +287,15 @@ def test_representative_independence():
             == jacobian_group(cover.total).invariant_factors
         )
         assert jacobian_group(other.total).order == jacobian_group(cover.total).order
+
+
+def test_switching_leaves_verification_unchanged():
+    rng = random.Random(15)
+    for _ in range(40):
+        spec, _ = random_cover_spec(rng, tree_cap=50_000)
+        xi = {v: random_element(rng, spec.group) for v in spec.base.vertices}
+        switched = switch_voltages(spec, xi)
+        assert verify_main_theorem(switched).summary() == verify_main_theorem(spec).summary()
 
 
 def test_resolution_contraction_identity_random():

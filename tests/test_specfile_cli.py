@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -12,7 +13,7 @@ from galois_trees import (
 )
 from galois_trees.cli import main
 from galois_trees.errors import SpecFormatError
-from helpers import SPEC_DIR, dumbbell_z6_spec, icosahedron_spec
+from helpers import SPEC_DIR, dumbbell_z6_spec, icosahedron_spec, random_cover_spec
 
 
 def test_parse_icosahedron_fixture():
@@ -88,11 +89,66 @@ def test_parse_rejects_booleans_as_ints():
             parse_spec(json.dumps(document))
 
 
+# a present dilation/voltage must be an object; edge fields must be strings
+MALFORMED_SHAPE_SPECS = (
+    {"vertices": ["a"], "edges": [], "group": {"cyclic": [2]}, "dilation": [["x"]]},
+    {
+        "vertices": ["a"],
+        "edges": [{"id": "e", "src": "a", "tgt": "a"}],
+        "group": {"cyclic": [2]},
+        "voltage": "abc",
+    },
+    {
+        "vertices": ["u"],
+        "edges": [{"id": "e", "src": ["u"], "tgt": "u"}],
+        "group": {"cyclic": [2]},
+    },
+    {
+        "vertices": ["u"],
+        "edges": [{"id": 5, "src": "u", "tgt": "u"}, {"id": "f", "src": "u", "tgt": "u"}],
+        "group": {"cyclic": [2]},
+    },
+)
+
+
+def test_parse_rejects_malformed_shapes():
+    for document in MALFORMED_SHAPE_SPECS:
+        with pytest.raises(SpecFormatError):
+            parse_spec(document)
+        with pytest.raises(SpecFormatError):
+            parse_spec(json.dumps(document))
+    # null still means empty
+    spec = parse_spec(
+        {"vertices": ["a"], "edges": [], "group": {"cyclic": [2]}, "dilation": None, "voltage": None}
+    )
+    assert spec.dilation == {} and spec.voltage == {}
+
+
+def test_cli_rejects_malformed_shapes(tmp_path):
+    runner = CliRunner()
+    for k, document in enumerate(MALFORMED_SHAPE_SPECS):
+        path = tmp_path / f"shape{k}.json"
+        path.write_text(json.dumps(document))
+        result = runner.invoke(main, ["build", str(path)])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.startswith("error: ")
+
+
 def test_roundtrip_on_normalized_specs():
     for spec in (icosahedron_spec(), dumbbell_z6_spec()):
         normalized = validate_spec(spec).spec
         again = parse_spec(serialize_spec(normalized))
         assert again == normalized
+
+
+def test_roundtrip_on_random_specs():
+    rng = random.Random(41)
+    dilated = 0
+    for _ in range(200):
+        spec = validate_spec(random_cover_spec(rng)[0]).spec
+        dilated += not spec.is_free()
+        assert parse_spec(serialize_spec(spec)) == spec
+    assert dilated >= 50
 
 
 def test_verify_small_z2_theta_cover():
