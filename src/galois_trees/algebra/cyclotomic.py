@@ -164,16 +164,7 @@ class CycInt:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative powers are not ring elements in general")
-        result = CycInt.from_int(self.conductor, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_power(self, n, CycInt.from_int(self.conductor, 1))
 
     def __bool__(self):
         return any(self.coeffs)
@@ -287,6 +278,19 @@ class CycInt:
             else:
                 parts.append(f"{c}*{var}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def ring_power(base, n: int, one):
+    """base ** n for n >= 0 by repeated squaring; ``one`` is the unit of base's ring."""
+    if n < 0:
+        raise ValueError("negative powers are not ring elements in general")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        base = base * base
+        n >>= 1
+    return result
 
 
 def jsonable_coefficient(c):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..errors import ExactDivisionError
-from .cyclotomic import CycInt, jsonable_coefficient
+from .cyclotomic import CycInt, jsonable_coefficient, ring_power
 
 Monomial = tuple[tuple[str, int], ...]
 
@@ -120,16 +120,7 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = MultiPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_power(self, n, MultiPoly.const(1))
 
     def __bool__(self):
         return bool(self.terms)
@@ -141,6 +132,8 @@ class MultiPoly:
         return not (self - other)
 
     def __hash__(self):
+        if set(self.terms) <= {()}:  # a constant hashes like the scalar it equals
+            return hash(self.terms.get((), 0))
         return hash(frozenset((m, hash(c)) for m, c in self.terms.items()))
 
     # -- structure ------------------------------------------------------
@@ -272,19 +265,6 @@ class MultiPoly:
 
     def map_coefficients(self, fn) -> MultiPoly:
         return MultiPoly({m: fn(c) for m, c in self.terms.items()})
-
-    def as_integer_polynomial(self) -> MultiPoly:
-        """Convert CycInt coefficients that are rational integers to ints."""
-
-        def to_int(c):
-            if isinstance(c, CycInt):
-                n = c.as_int()
-                if n is None:
-                    raise ValueError(f"coefficient {c} is not a rational integer")
-                return n
-            return c
-
-        return self.map_coefficients(to_int)
 
     def canonical_terms(self) -> list[tuple[Monomial, object]]:
         return sorted(self.terms.items(), key=lambda item: item[0])

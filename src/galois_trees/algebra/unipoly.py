@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import comb
 
 from ..errors import ExactDivisionError
-from .cyclotomic import CycInt, jsonable_coefficient
+from .cyclotomic import CycInt, jsonable_coefficient, ring_power
 from .division import exact_quotient
 
 
@@ -98,16 +98,7 @@ class UniPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        result = UniPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return ring_power(self, n, UniPoly.const(1))
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -116,6 +107,8 @@ class UniPoly:
         return not (self - other)
 
     def __hash__(self):
+        if len(self.coeffs) <= 1:  # a constant hashes like the scalar it equals
+            return hash(self.coeffs[0] if self.coeffs else 0)
         return hash(self.coeffs)
 
     def evaluate(self, value):

@@ -135,11 +135,19 @@ class Character:
     def is_trivial(self) -> bool:
         return all(c == 0 for c in self.exponents)
 
-    def conj(self) -> Character:
+    def power(self, k: int) -> Character:
+        """The character a -> rho(a)^k.
+
+        >>> Character(AbelianGroup((2, 4)), (1, 1)).power(3).exponents
+        (1, 3)
+        """
         return Character(
             self.group,
-            tuple((-c) % n for c, n in zip(self.exponents, self.group.orders)),
+            tuple((k * c) % n for c, n in zip(self.exponents, self.group.orders)),
         )
+
+    def conj(self) -> Character:
+        return self.power(-1)
 
 
 def characters(group: AbelianGroup) -> list[Character]:

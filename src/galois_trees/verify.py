@@ -8,18 +8,22 @@ claimed identity is
 where J_total is the total graph's tree polynomial pushed down to base edge
 variables, J_base is the base tree polynomial, and P_rho ranges over the
 weight polynomials of the character-twisted matroids at the N-1 nontrivial
-characters.  The right-hand side is assembled from base data only; the left
-side is computed from the built cover, by exhaustive tree enumeration when
-the tree count is small enough, and by the Smith-form tree count otherwise
-(then equality is decided at the integer level and reported as such).
+characters.  The right-hand side is assembled from base data only, one
+Galois orbit of characters at a time: rho^k (k prime to the exponent m of G)
+has rho's kernel, hence rho's bases, and P_{rho^k} = sigma_k(P_rho), so each
+orbit's product is rational with integer coefficients.  The left side is
+computed from the built cover, by exhaustive tree enumeration when the tree
+count is small enough, and by the Smith-form tree count otherwise (then
+equality is decided at the integer level and reported as such).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd
 
-from .algebra import CycInt, MultiPoly
+from .algebra import MultiPoly
 from .covers import Cover, CoverSpec, build_cover, is_connected_cover, validate_spec
 from .graphs import degree_sequence, genus
 from .groups import Character, characters
@@ -29,19 +33,25 @@ from .jacobians import (
     jacobian_polynomial,
     specialized_jacobian_polynomial,
 )
-from .matroids import TwistedMatroid, WeightReport, weight_polynomial
+from .matroids import WeightReport, weight_polynomial
 
 DEFAULT_ENUMERATION_CAP = 200_000
 
 
 @dataclass(frozen=True)
-class CharacterReport:
-    character: Character
-    rank: int
-    basis_count: int
-    polynomial: MultiPoly
-    scalar: CycInt
-    matroid: TwistedMatroid
+class CharacterReport(WeightReport):
+    """A weight report read per character; rank and basis count are its matroid's."""
+
+    character = property(lambda self: self.matroid.character)
+    rank = property(lambda self: self.matroid.rank)
+    basis_count = property(lambda self: len(self.matroid.bases))
+
+    def galois(self, k: int) -> CharacterReport:
+        """The report of rho^k: rho's bases and rank, every weight mapped by sigma_k."""
+        weights = tuple(w.galois(k) for w in self.matroid.weights)
+        matroid = replace(self.matroid, character=self.character.power(k), weights=weights)
+        poly = self.polynomial.map_coefficients(lambda c: c.galois(k))
+        return CharacterReport(matroid, poly, self.scalar.galois(k))
 
 
 @dataclass(frozen=True)
@@ -98,9 +108,14 @@ class VerificationReport:
 
 
 def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterReport, ...], MultiPoly, int]:
-    """Base polynomial, prefactor, per-character reports, RHS polynomial, RHS count."""
+    """Base polynomial, prefactor, per-character reports, RHS polynomial, RHS count.
+
+    Bases are enumerated once per Galois orbit of characters, and the other
+    reports of the orbit are sigma_k conjugates.  Each orbit's product is
+    converted to int coefficients, and the orbit products multiply over Z.
+    """
     group = spec.group
-    n = group.order
+    n, m = group.order, group.exponent
     base_poly = jacobian_polynomial(spec.base)
     prefactor_num = 1
     for v in spec.base.vertices:
@@ -110,37 +125,29 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
         prefactor_num *= d ** (n // d)
     prefactor = Fraction(prefactor_num, n)
 
-    reports = []
-    product = MultiPoly.const(1)
-    scalar_product = CycInt.from_int(group.exponent, 1)
-    for rho in characters(group):
-        if rho.is_trivial():
+    nontrivial = [rho for rho in characters(group) if not rho.is_trivial()]
+    found: dict[Character, CharacterReport] = {}
+    product = base_poly * prefactor_num
+    for rho in nontrivial:
+        if rho in found:
             continue
-        report: WeightReport = weight_polynomial(spec, rho)
-        reports.append(
-            CharacterReport(
-                character=rho,
-                rank=report.matroid.rank,
-                basis_count=len(report.matroid.bases),
-                polynomial=report.polynomial,
-                scalar=report.scalar,
-                matroid=report.matroid,
-            )
-        )
-        product = product * report.polynomial
-        scalar_product = scalar_product * report.scalar
+        first = CharacterReport(**vars(weight_polynomial(spec, rho)))
+        # every k with rho^k = conj gives its report: rho takes ord(rho)-th roots as values
+        orbit = {rho.power(k): k for k in range(1, m) if gcd(k, m) == 1}
+        orbit_product = MultiPoly.const(1)
+        for conj, k in orbit.items():
+            found[conj] = first.galois(k)
+            orbit_product = orbit_product * found[conj].polynomial
+        coeffs = {mono: c.as_int() for mono, c in orbit_product.terms.items()}
+        if None in coeffs.values():
+            raise AssertionError(f"the product over the orbit of {rho.exponents} is not rational")
+        product = product * MultiPoly(coeffs)
 
-    rhs = (base_poly * product * prefactor_num).exact_divide(n).as_integer_polynomial()
-
-    scalar_int = scalar_product.as_int()
-    if scalar_int is None:
-        raise AssertionError("the product of scalar weights must be a rational integer")
-    base_count = base_poly.value_at_ones()
-    count_num = prefactor_num * base_count * scalar_int
-    rhs_count, rem = divmod(count_num, n)
-    if rem:
-        raise AssertionError("the enumerative product must be divisible by |G|")
-    return base_poly, prefactor, tuple(reports), rhs, rhs_count
+    if any(c % n for c in product.terms.values()):
+        raise AssertionError("the right-hand side must be divisible by |G|")
+    rhs = MultiPoly({mono: c // n for mono, c in product.terms.items()})
+    reports = tuple(found[rho] for rho in nontrivial)
+    return base_poly, prefactor, reports, rhs, rhs.value_at_ones()
 
 
 def verify_main_theorem(

@@ -229,6 +229,19 @@ def test_exact_quotient_dispatch():
         exact_quotient(CycInt.from_int(5, 3), CycInt.from_int(5, 2))
 
 
+@pytest.mark.parametrize(
+    "value", [0, 5, Fraction(5), Fraction(-3, 2), CycInt.from_int(5, 0), CycInt.from_int(7, 5)]
+)
+def test_constant_polynomials_hash_like_their_constant(value):
+    for poly in (UniPoly.const(value), MultiPoly.const(value)):
+        assert hash(poly) == hash(value)
+    uni = UniPoly.const(value)
+    assert uni == value and {value: "a"}.get(uni) == "a"
+    if not isinstance(value, Fraction):  # MultiPoly takes no Fraction operands
+        multi = MultiPoly.const(value)
+        assert multi == value and {value: "a"}.get(multi) == "a"
+
+
 @given(st.data())
 def test_multipoly_divide_random_roundtrip(data):
     names = ["x", "y", "z"]
