@@ -17,6 +17,7 @@ from .algebra import (
     det_over_ring,
     euler_phi,
     int_det,
+    smith_diagonal,
     smith_normal_form,
     weight_of_root,
 )

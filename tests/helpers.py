@@ -49,8 +49,10 @@ def icosahedron_quotient_graph():
     )
 
 
-def icosahedron_spec() -> CoverSpec:
-    group = AbelianGroup((5,))
+def icosahedron_spec(n: int = 5) -> CoverSpec:
+    """The icosahedron as a Z/5 cover of its quotient; other orders n give
+    larger covers of the same base (2n + 2 vertices)."""
+    group = AbelianGroup((n,))
     full = subgroup_from_generators(group, [(1,)])
     return CoverSpec(
         base=icosahedron_quotient_graph(),

@@ -9,10 +9,13 @@ from galois_trees import (
     CycInt,
     MultiPoly,
     UniPoly,
+    build_graph,
     cyclotomic_polynomial,
     det_over_ring,
     euler_phi,
     int_det,
+    laplacian,
+    smith_diagonal,
     smith_normal_form,
     weight_of_root,
 )
@@ -348,6 +351,55 @@ def test_smith_square_product_matches_det():
         for d in diag:
             prod *= d
         assert prod == abs(int_det(m))
+
+
+def _random_multigraph_laplacian(rng):
+    """Laplacian of a random multigraph, loops and parallel edges allowed,
+    not necessarily connected."""
+    vertices = [f"v{i}" for i in range(rng.randint(1, 7))]
+    edges = [
+        (f"e{k}", rng.choice(vertices), rng.choice(vertices))
+        for k in range(rng.randint(0, 14))
+    ]
+    return laplacian(build_graph(vertices, edges))
+
+
+def test_smith_diagonal_matches_dense_on_laplacians():
+    rng = random.Random(21)
+    for _ in range(300):
+        lap = _random_multigraph_laplacian(rng)
+        assert smith_diagonal(lap) == smith_normal_form(lap).diagonal
+
+
+def test_smith_diagonal_matches_dense_on_rectangular_matrices():
+    rng = random.Random(22)
+    without_units = 0
+    for k in range(200):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 9)
+        # every other matrix has no ±1 entry, so the dense routine does all the work
+        values = [-3, -2, 0, 0, 2, 3, 4] if k % 2 else [-2, -1, -1, 0, 0, 0, 1, 1, 2]
+        m = [[rng.choice(values) for _ in range(nc)] for _ in range(nr)]
+        without_units += all(abs(x) != 1 for row in m for x in row)
+        assert smith_diagonal(m) == smith_normal_form(m).diagonal
+    assert without_units >= 100
+
+
+def test_smith_diagonal_edge_cases():
+    for m in (
+        [[0]],
+        [[1]],
+        [[-1]],
+        [[0, 0, 0], [0, 0, 0]],
+        [[2, -1, 0], [0, 0, 0], [-1, 1, 0]],  # a zero row and a zero column
+        [[0, 5], [0, 3], [0, -1]],
+        [[]],
+        [],
+    ):
+        assert smith_diagonal(m) == smith_normal_form(m).diagonal
+    assert smith_diagonal([]) == ()
+    assert smith_diagonal([[0]]) == (0,)
+    with pytest.raises(ValueError):
+        smith_diagonal([[1, 2], [3]])
 
 
 def test_det_over_ring_one_by_one():

@@ -10,6 +10,7 @@ import galois_trees
 from galois_trees import (
     AbelianGroup,
     CoverSpec,
+    MultiPoly,
     build_cover,
     build_graph,
     contract_cover,
@@ -298,15 +299,73 @@ def test_switching_leaves_verification_unchanged():
         assert verify_main_theorem(switched).summary() == verify_main_theorem(spec).summary()
 
 
+def _renamed(spec, rng):
+    """The spec under fresh vertex and edge ids in shuffled sorted order, and
+    the map from new edge ids back to old ones."""
+    base = spec.base
+    vnew = {v: f"p{i:02d}" for v, i in zip(base.vertices, rng.sample(range(100), 100))}
+    enew = {e: f"q{i:02d}" for e, i in zip(base.edges, rng.sample(range(100), 100))}
+    edges = [(enew[e], vnew[base.ends[e][0]], vnew[base.ends[e][1]]) for e in base.edges]
+    rng.shuffle(edges)
+    vertices = list(vnew.values())
+    rng.shuffle(vertices)
+    renamed = CoverSpec(
+        base=build_graph(vertices, edges),
+        group=spec.group,
+        dilation={vnew[v]: sub for v, sub in spec.dilation.items()},
+        voltage={enew[e]: eta for e, eta in spec.voltage.items()},
+    )
+    return renamed, {new: old for old, new in enew.items()}
+
+
+def _rename_variables(poly, names):
+    return MultiPoly({
+        tuple(sorted((names[v], e) for v, e in mono)): c for mono, c in poly.terms.items()
+    })
+
+
+def test_renaming_changes_nothing_beyond_the_rename():
+    rng = random.Random(16)
+    checked = 0
+    while checked < 40:
+        spec, cover = random_cover_spec(rng, tree_cap=50_000, dilation_prob=0.5)
+        if not spec.dilation:
+            continue
+        checked += 1
+        renamed, back = _renamed(spec, rng)
+        other = build_cover(renamed)
+        assert (
+            jacobian_group(other.total).invariant_factors
+            == jacobian_group(cover.total).invariant_factors
+        )
+        want, got = verify_main_theorem(spec), verify_main_theorem(renamed)
+        for field in ("base_tree_count", "prefactor", "rhs_tree_count", "lhs_tree_count",
+                      "cover_jacobian", "polynomial_checked", "equal"):
+            assert getattr(got, field) == getattr(want, field)
+        for field in ("base_polynomial", "rhs_polynomial", "lhs_polynomial"):
+            assert _rename_variables(getattr(got, field), back) == getattr(want, field)
+        assert len(got.characters) == len(want.characters)
+        for a, b in zip(got.characters, want.characters):
+            assert a.character == b.character
+            assert (a.rank, a.basis_count) == (b.rank, b.basis_count)
+            assert _rename_variables(a.polynomial, back) == b.polynomial
+            assert a.scalar == b.scalar
+
+
 def test_resolution_contraction_identity_random():
     rng = random.Random(14)
-    for _ in range(6):
+    for _ in range(20):
         spec, cover = random_cover_spec(rng, max_vertices=3, max_edges=5)
         resolved, added = free_resolution(spec)
         if not added:
             continue
         free_cover = build_cover(resolved)
         back = contract_cover(free_cover, added)
+        # the contracted covers carry loops and parallel edges
+        assert (
+            jacobian_group(back.total).invariant_factors
+            == jacobian_group(cover.total).invariant_factors
+        )
         assert jacobian_group(back.total).order == jacobian_group(cover.total).order
         for v in spec.base.vertices:
             assert len(back.vertex_fiber(v)) == len(cover.vertex_fiber(v))

@@ -22,8 +22,10 @@ from galois_trees import (
     spanning_trees_bruteforce,
     specialized_jacobian_polynomial,
     subdivide,
+    valency_adjacency,
     verify_main_theorem,
 )
+from galois_trees.algebra import intmat
 from galois_trees.errors import ExactDivisionError
 from helpers import (
     dumbbell_graph,
@@ -41,6 +43,11 @@ def test_laplacian_examples():
     assert laplacian(triangle_graph()) == [[2, -1, -1], [-1, 2, -1], [-1, -1, 2]]
     loop = build_graph(["v"], [("e", "v", "v")])
     assert laplacian(loop) == [[0]]
+    rng = random.Random(20)
+    for _ in range(30):
+        g = random_connected_multigraph(rng, 5, 9)
+        q, a = valency_adjacency(g)
+        assert laplacian(g) == [[x - y for x, y in zip(qr, ar)] for qr, ar in zip(q, a)]
 
 
 def test_jacobian_group_examples():
@@ -158,6 +165,35 @@ def test_pushforward_product_random():
             report.kernel_order * jacobian_group(cover.base).order
             == jacobian_group(cover.total).order
         )
+
+
+def test_jacobian_group_of_a_large_cover_matches_kirchhoff():
+    cover = build_cover(icosahedron_spec(120))
+    assert len(cover.total.vertices) == 242
+    group = jacobian_group(cover.total)
+    assert group.order == kirchhoff_count(cover.total)
+    assert len(group.invariant_factors) == 5
+
+
+def test_pushforward_on_a_large_cover_runs_dense_smith_on_the_remainder(monkeypatch):
+    sizes = []
+    dense = intmat.smith_normal_form
+
+    def recording(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return dense(rows, *args, **kwargs)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", recording)
+    spec = CoverSpec(
+        base=theta_graph(), group=AbelianGroup((80,)), voltage={"f": (1,), "g": (3,)}
+    )
+    cover = build_cover(spec)
+    report = pushforward_jacobian(cover)
+    # the base and total critical groups, then the stacked [push | relations]
+    assert len(sizes) == 3 and max(sizes) <= 12
+    assert report.kernel_order * jacobian_group(cover.base).order == (
+        jacobian_group(cover.total).order
+    )
 
 
 def test_kirchhoff_identities_random():
