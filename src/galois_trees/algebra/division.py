@@ -14,7 +14,7 @@ def exact_quotient(a, b):
 
     Operands are ints, Fractions, CycInt, UniPoly or MultiPoly, a polynomial
     mixing with scalars.  Integer divisors, 1 and -1 first, are tried before
-    anything else: they carry the Bareiss inner loop.
+    anything else: they are the common case in polynomial long division.
     """
     if isinstance(b, int):
         if b == 1:

@@ -55,6 +55,8 @@ def _parse_lengths(spec, lengths: str | None):
         e = e.strip()
         if e not in set(spec.base.edges):
             raise ValueError(f"unknown edge {e!r} in --lengths")
+        if e in out:
+            raise ValueError(f"edge {e!r} given twice in --lengths")
         try:
             out[e] = int(raw)
         except ValueError:

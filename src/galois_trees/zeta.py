@@ -7,6 +7,13 @@ is not the reversal of e.  The three-term form at unit lengths is
 (1 - s^2)^(genus - 1) * det(I - s*A + s^2*(Q - I)).  Twisting by a character
 multiplies entries by the character value of the source edge's voltage;
 that is defined for covers with no dilation (honest coverings) only.
+
+Every determinant is one ``det_over_ring`` call on a matrix over
+Z[zeta_m][s], which evaluates it modulo primes p ≡ 1 (mod m), at the
+points s = 0..d and under every embedding zeta -> omega^k, and lifts the
+interpolated coefficients by CRT.  An L reciprocal at rho^k is
+sigma_k of the one at rho, because the matrices are.  Edge lengths are
+positive ints; bools are refused.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ def _check_lengths(g: Graph, lengths: Mapping[str, int] | None) -> dict[str, int
     out = {}
     for e in g.edges:
         x = 1 if lengths is None else lengths.get(e, 1)
-        if not isinstance(x, int) or x < 1:
+        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
             raise ValueError(f"edge length for {e!r} must be a positive integer")
         out[e] = x
     return out

@@ -1,6 +1,10 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -19,6 +23,7 @@ from galois_trees import (
     smith_normal_form,
     weight_of_root,
 )
+from galois_trees.algebra import intmat
 from galois_trees.algebra.division import exact_quotient
 from galois_trees.errors import ExactDivisionError
 
@@ -449,6 +454,159 @@ def test_det_over_ring_polynomial_pivoting():
     assert not det_over_ring(singular)
     zero_column = [[UniPoly(), UniPoly.const(1)], [UniPoly(), s]]
     assert not det_over_ring(zero_column)
+
+
+def _leibniz(rows, one):
+    """The determinant as a sum over permutations: the independent reference."""
+    total = one - one
+    for perm in permutations(range(len(rows))):
+        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
+        term = one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term if inversions % 2 == 0 else total - term
+    return total
+
+
+def _random_entry(rng, m, max_degree, size):
+    """A UniPoly in s with CycInt coefficients of conductor m; zero one time in five."""
+    if rng.random() < 0.2:
+        return UniPoly()
+    return UniPoly(
+        CycInt(m, [rng.randint(-size, size) for _ in range(euler_phi(m))])
+        for _ in range(rng.randint(0, max_degree) + 1)
+    )
+
+
+CONDUCTORS = (1, 2, 3, 4, 5, 8, 12, 105)
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_det_over_ring_matches_leibniz_over_cyclotomic_polynomials(m):
+    rng = random.Random(m)
+    one = UniPoly.const(CycInt.from_int(m, 1))
+    for n in (1, 2, 3, 4, 4):
+        rows = [[_random_entry(rng, m, 2, 3) for _ in range(n)] for _ in range(n)]
+        got = det_over_ring(rows)
+        assert isinstance(got, UniPoly) and got == _leibniz(rows, one)
+        assert all(isinstance(c, CycInt) and c.conductor == m for c in got.coeffs)
+    scalars = [[CycInt.root(m, rng.randrange(m)) * rng.randint(-2, 2) for _ in range(3)]
+               for _ in range(3)]
+    got = det_over_ring(scalars)
+    assert isinstance(got, CycInt) and got == _leibniz(scalars, CycInt.from_int(m, 1))
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_det_over_ring_singular_and_zero_column(m):
+    rng = random.Random(1000 + m)
+    n = 3 if m == 105 else 4
+    rows = [[_random_entry(rng, m, 2, 3) for _ in range(n)] for _ in range(n - 1)]
+    factor = UniPoly((CycInt.root(m, 1), CycInt.from_int(m, -2)))
+    rows.append([factor * x - y for x, y in zip(rows[0], rows[1])])  # dependent row
+    got = det_over_ring(rows)
+    assert isinstance(got, UniPoly) and not got
+    rows[-1] = [_random_entry(rng, m, 2, 3) for _ in range(n)]
+    for row in rows:
+        row[1] = UniPoly()
+    assert not det_over_ring(rows)
+    assert det_over_ring([[CycInt.from_int(m, 0)]]) == 0
+    assert isinstance(det_over_ring([[CycInt.from_int(m, 0)]]), CycInt)
+
+
+@pytest.mark.parametrize("m", CONDUCTORS)
+def test_det_over_ring_cancelled_leading_coefficient(m):
+    # entries u_i v_j s + c_ij: the s^n coefficient is det(u v^T) = 0 for n >= 2,
+    # so the determinant has degree below the bound d = n
+    rng = random.Random(2000 + m)
+    n = 3
+    u = [CycInt(m, [rng.randint(-2, 2) for _ in range(euler_phi(m))]) for _ in range(n)]
+    v = [CycInt(m, [rng.randint(-2, 2) for _ in range(euler_phi(m))]) for _ in range(n)]
+    u[0] = v[0] = CycInt.from_int(m, 1)
+    rows = [
+        [UniPoly((CycInt.from_int(m, rng.randint(-3, 3)), u[i] * v[j])) for j in range(n)]
+        for i in range(n)
+    ]
+    got = det_over_ring(rows)
+    assert got == _leibniz(rows, UniPoly.const(CycInt.from_int(m, 1)))
+    assert got.degree < n
+
+
+@pytest.mark.parametrize("m", (1, 5, 12, 105))
+def test_det_over_ring_large_coefficients(m):
+    rng = random.Random(3000 + m)
+    n = 3 if m == 105 else 4
+    rows = [[_random_entry(rng, m, 1, 2**50) for _ in range(n)] for _ in range(n)]
+    got = det_over_ring(rows)
+    assert got == _leibniz(rows, UniPoly.const(CycInt.from_int(m, 1)))
+    # more than two primes below 2^62 are needed to hold a coefficient this large
+    assert max(abs(x) for c in got.coeffs for x in c.coeffs) > 2**125
+
+
+def test_det_over_ring_fraction_rows_are_cleared():
+    rng = random.Random(17)
+    for n in (1, 2, 3, 4):
+        rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+                for _ in range(n)]
+        got = det_over_ring(rows)
+        assert isinstance(got, Fraction) and got == _leibniz(rows, Fraction(1))
+        polys = [[UniPoly((x, Fraction(1, rng.randint(1, 5)))) for x in r] for r in rows]
+        got = det_over_ring(polys)
+        assert got == _leibniz(polys, UniPoly.const(1))
+        assert all(isinstance(c, Fraction) for c in got.coeffs)
+
+
+def test_det_over_ring_entry_types():
+    assert det_over_ring([]) == 1
+    assert isinstance(det_over_ring([[2, 1], [1, 2]]), int)
+    s = UniPoly.monomial(1)
+    assert all(isinstance(c, int) for c in det_over_ring([[s, 1], [2, s]]).coeffs)
+    with pytest.raises(TypeError):
+        det_over_ring([[MultiPoly.variable("x")]])
+    with pytest.raises(TypeError):
+        det_over_ring([[Fraction(1, 2), CycInt.root(3, 1)], [1, 1]])
+    with pytest.raises(ValueError):
+        det_over_ring([[1, 2]])
+
+
+def _big_polynomial_matrix():
+    """4 x 4 over Z[s] whose determinant has a coefficient above 2^62."""
+    rng = random.Random(5)
+    s = UniPoly.monomial(1)
+    return [[rng.randint(-2**20, 2**20) + rng.randint(0, 3) * s for _ in range(4)]
+            for _ in range(4)]
+
+
+def test_det_over_ring_checks_an_extra_prime(monkeypatch):
+    rows = _big_polynomial_matrix()
+    exact = det_over_ring(rows)
+    assert exact == _leibniz(rows, UniPoly.const(1))
+    assert max(abs(c) for c in exact.coeffs) > 2**62
+    monkeypatch.setattr(intmat, "_det_bound", lambda entries, m: 1)  # one prime only
+    with pytest.raises(AssertionError, match="extra prime"):
+        det_over_ring(rows)
+
+
+def test_det_over_ring_extra_prime_check_survives_optimize():
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_algebra import _big_polynomial_matrix\n"
+        "from galois_trees.algebra import intmat\n"
+        "intmat._det_bound = lambda entries, m: 1\n"
+        "try:\n"
+        "    intmat.det_over_ring(_big_polynomial_matrix())\n"
+        "except AssertionError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit('a wrong determinant passed the check')\n"
+    )
+    here = Path(__file__).resolve().parent
+    src = Path(intmat.__file__).resolve().parent.parent.parent
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(here), str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_multipoly_division_with_cyclotomic_coefficients():

@@ -353,6 +353,17 @@ def test_cli_bad_inputs():
     assert result.exit_code == 2
 
 
+def test_cli_lengths_reject_a_repeated_edge():
+    runner = CliRunner()
+    for command in (["zeta"], ["lfunction", "--character", "1"]):
+        spec = "theta.json" if command == ["zeta"] else "theta_z2.json"
+        result = runner.invoke(
+            main, [*command, str(SPEC_DIR / spec), "--lengths", "e=2,e=3"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "'e' given twice" in result.output
+
+
 def test_cli_rejects_booleans_as_ints(tmp_path):
     runner = CliRunner()
     for k, document in enumerate(BOOLEAN_INT_SPECS):

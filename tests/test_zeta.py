@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from galois_trees import (
     AbelianGroup,
     CoverSpec,
+    CycInt,
     UniPoly,
     artin_l_reciprocal_three_term,
     build_graph,
@@ -117,6 +119,38 @@ def test_l_requires_free_cover():
         artin_l_reciprocal_three_term(spec, rho)
     with pytest.raises(ValueError, match="no dilation"):
         twisted_laplacian_det(spec, rho)
+
+
+def test_lengths_must_be_positive_ints_not_bools():
+    g = theta_graph()
+    assert metric_zeta_reciprocal(g, {"e": 1}) == metric_zeta_reciprocal(g)
+    for bad in (True, False, 0, -1, 1.0, "2"):
+        with pytest.raises(ValueError, match="positive integer"):
+            metric_zeta_reciprocal(g, {"e": bad})
+
+
+@pytest.mark.parametrize("orders", [(5,), (8,), (12,), (2, 4)])
+def test_l_functions_of_galois_conjugate_characters(orders):
+    # L(s, rho^k) = sigma_k L(s, rho) and det(Q - A_{rho^k}) = sigma_k det(Q - A_rho):
+    # sigma_k maps each twisted matrix to the one of rho^k
+    group = AbelianGroup(orders)
+    m = group.exponent
+    units = [k for k in range(2, m) if gcd(k, m) == 1]
+    rng = random.Random(sum(orders) * 101 + len(orders))
+    for _ in range(2):
+        spec, _ = random_cover_spec(
+            rng, free=True, max_vertices=3, max_edges=4, groups=(group,)
+        )
+        lengths = {e: rng.randint(1, 2) for e in spec.base.edges}
+        for rho in characters(group):
+            l_rho = metric_l_reciprocal(spec, rho, lengths)
+            assert all(isinstance(c, CycInt) and c.conductor == m for c in l_rho.coeffs)
+            det = None if rho.is_trivial() else twisted_laplacian_det(spec, rho)
+            for k in units:
+                conjugate = UniPoly([c.galois(k) for c in l_rho.coeffs])
+                assert metric_l_reciprocal(spec, rho.power(k), lengths) == conjugate
+                if det is not None:
+                    assert twisted_laplacian_det(spec, rho.power(k)) == det.galois(k)
 
 
 def test_twisted_laplacian_examples():
