@@ -10,13 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm, prod
+from math import isqrt, lcm, prod
 
 from .cyclotomic import CycInt, euler_phi
 from .modular import (
     det_mod,
     evaluate_mod,
     galois_exponents,
+    l1,
     power_basis_solver,
     root_of_unity,
     split_prime,
@@ -308,12 +309,25 @@ def _root_height(m: int) -> int:
 
 
 def _det_bound(entries, m: int) -> int:
-    """B: no power-basis coefficient of the determinant exceeds it in size."""
-    l1 = [[sum(sum(map(abs, c.coeffs)) if isinstance(c, CycInt) else abs(c) for c in x)
-           for x in r] for r in entries]
-    rows = prod(sum(r) for r in l1)
-    cols = prod(sum(col) for col in zip(*l1))
-    return _root_height(m) * min(rows, cols)
+    """B: no power-basis coefficient of the determinant exceeds it in size.
+
+    For m = 1 the determinant f(s) is an integer polynomial and Hadamard's
+    bound at |s| = 1 also holds: a coefficient of f is at most
+    max_{|s|=1} |f(s)| (Cauchy's estimate), and there |a_ij(s)| <= l1(a_ij),
+    so |f(s)| <= prod_i (sum_j l1(a_ij)^2)^(1/2), and the same over columns.
+    """
+    norms = [[sum(map(l1, x)) for x in r] for r in entries]
+    rows = prod(sum(r) for r in norms)
+    cols = prod(sum(col) for col in zip(*norms))
+    if m > 1:
+        return _root_height(m) * min(rows, cols)
+    hadamard_rows = prod(_ceil_sqrt(sum(x * x for x in r)) for r in norms)
+    hadamard_cols = prod(_ceil_sqrt(sum(x * x for x in col)) for col in zip(*norms))
+    return min(rows, cols, hadamard_rows, hadamard_cols)
+
+
+def _ceil_sqrt(n: int) -> int:
+    return isqrt(n - 1) + 1 if n else 0
 
 
 def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:

@@ -5,19 +5,27 @@ primitive m-th root of unity omega, and for every k prime to m,
 zeta -> omega^k is a ring map Z[zeta_m] -> F_p.  The phi(m) maps differ by
 the Galois automorphisms sigma_k, and together they determine an element of
 Z[zeta_m] modulo p: its images are the values of its power-basis polynomial
-at the phi(m) distinct points omega^k, a Vandermonde system.
+at the phi(m) distinct points omega^k, a Vandermonde system.  Roots for
+several such primes combine by CRT into one omega modulo their product M,
+and zeta -> omega is then a ring map Z[zeta_m] -> Z/M.
 
 Primes are searched downwards from 2^62 and cached per conductor, so that
 multimodular algorithms over Z[zeta_m] can ask for the i-th one; nothing
-is computed at import.
+is computed at import.  There are two users: ``intmat.det_over_ring``
+takes determinants over Z[zeta_m][s] prime by prime under every map
+zeta -> omega^k, and ``verify.assemble_rhs`` multiplies the weight
+polynomials modulo one product M of primes (``split_modulus``,
+``product_bound``, ``PackedKeys``, ``mul_mod``, ``value_mod``).
 """
 
 from __future__ import annotations
 
 from functools import cache
-from math import gcd
+from math import gcd, prod
+from typing import Iterable
 
 from .cyclotomic import CycInt, euler_phi
+from .multipoly import MultiPoly
 
 PRIME_LIMIT = 1 << 62
 
@@ -204,3 +212,130 @@ def det_mod(rows: list[list[int]], p: int) -> int:
                 for j, y in tail:
                     row[j] = (row[j] - f * y) % p
     return det % p
+
+
+def split_modulus(m: int, bound: int) -> tuple[int, int, int]:
+    """(M, omega, count): M is the product of split_prime(m, 0..count-1), the
+    fewest (one at least) that make M > 2 * bound, and omega is
+    root_of_unity(m, p) modulo each of those p (CRT), so zeta -> omega is a
+    ring map Z[zeta_m] -> Z/M.
+
+    An integer c with |c| <= bound is then the symmetric lift of c mod M.
+
+    >>> M, w, count = split_modulus(12, 2**70)
+    >>> count, M == split_prime(12, 0) * split_prime(12, 1), split_modulus(12, 0)[2]
+    (2, True, 1)
+    >>> pow(w, 12, M), w % split_prime(12, 1) == root_of_unity(12, split_prime(12, 1))
+    (1, True)
+    """
+    modulus, omega, count = 1, 0, 0
+    while not count or modulus <= 2 * bound:
+        p = split_prime(m, count)
+        count += 1
+        omega += modulus * ((root_of_unity(m, p) - omega) * pow(modulus, -1, p) % p)
+        modulus *= p
+    return modulus, omega, count
+
+
+def l1(c: CycInt | int) -> int:
+    """The sum of |power-basis coefficient| of c: |sigma(c)| <= l1(c) in every
+    complex embedding sigma, since every power of zeta has absolute value 1.
+
+    >>> l1(CycInt.root(3, 1) - 2), l1(-4)
+    (3, 4)
+    """
+    return sum(map(abs, c.coeffs)) if isinstance(c, CycInt) else abs(c)
+
+
+def product_bound(scale: int, factors: Iterable[MultiPoly]) -> int:
+    """B = |scale| times the l1 norms of the factors: no coefficient of the
+    product exceeds it in size in any complex embedding of Z[zeta_m].
+
+    The l1 norm of a polynomial sums l1 over its coefficients, and
+    l1(f g) <= l1(f) l1(g).  So when the product has integer coefficients,
+    they are at most B.
+
+    >>> x = MultiPoly.variable("x")
+    >>> product_bound(2, [x * CycInt.root(3, 1) - 2, x + 1])
+    12
+    """
+    return abs(scale) * prod(sum(map(l1, f.terms.values())) for f in factors)
+
+
+class PackedKeys:
+    """Monomials of a product as ints, one bit field per variable.
+
+    Each field is wide enough for the sum of its variable's largest
+    exponents over the factors, so multiplying any of the factors adds keys
+    without a carry between fields, as in ``graphs.tree_sweep``.
+
+    >>> x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    >>> f, g = x * x + 3 * y, x * y
+    >>> keys = PackedKeys([f, g])
+    >>> keys.unpack(mul_mod(keys.residues(f, 1, 97), keys.residues(g, 1, 97), 97)) == f * g
+    True
+    """
+
+    def __init__(self, factors: Iterable[MultiPoly]):
+        total: dict[str, int] = {}
+        for f in factors:
+            largest: dict[str, int] = {}
+            for mono in f.terms:
+                for v, e in mono:
+                    largest[v] = max(largest.get(v, 0), e)
+            for v, e in largest.items():
+                total[v] = total.get(v, 0) + e
+        self.shift: dict[str, int] = {}
+        self.fields: list[tuple[str, int, int]] = []  # (variable, shift, mask)
+        at = 0
+        for v in sorted(total):
+            width = total[v].bit_length()
+            self.shift[v] = at
+            self.fields.append((v, at, (1 << width) - 1))
+            at += width
+
+    def residues(self, poly: MultiPoly, omega: int, modulus: int) -> dict[int, int]:
+        """poly under zeta -> omega, coefficients mod modulus, keys packed."""
+        out = {}
+        for mono, c in poly.terms.items():
+            if r := _image(c, omega, modulus):
+                out[sum(e << self.shift[v] for v, e in mono)] = r
+        return out
+
+    def unpack(self, terms: dict[int, int]) -> MultiPoly:
+        """The MultiPoly with these packed monomials and coefficients."""
+        return MultiPoly({
+            tuple((v, e) for v, at, mask in self.fields if (e := key >> at & mask)): c
+            for key, c in terms.items()
+        })
+
+
+def mul_mod(a: dict[int, int], b: dict[int, int], modulus: int) -> dict[int, int]:
+    """The product of two packed polynomials, coefficients reduced mod modulus."""
+    out: dict[int, int] = {}
+    get = out.get
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = get(k, 0) + ca * cb
+    return {k: r for k, c in out.items() if (r := c % modulus)}
+
+
+def value_mod(poly: MultiPoly, point: dict[str, int], omega: int, modulus: int) -> int:
+    """poly at an integer point under zeta -> omega, mod modulus.
+
+    >>> x = MultiPoly.variable("x")
+    >>> value_mod(x * x * CycInt.root(4, 1) + 5, {"x": 3}, 5, 13)  # 5^2 = -1 mod 13
+    11
+    """
+    acc = 0
+    for mono, c in poly.terms.items():
+        term = _image(c, omega, modulus)
+        for v, e in mono:
+            term = term * pow(point[v], e, modulus) % modulus
+        acc += term
+    return acc % modulus
+
+
+def _image(c: CycInt | int, omega: int, modulus: int) -> int:
+    return evaluate_mod(c.coeffs, omega, modulus) if isinstance(c, CycInt) else c % modulus

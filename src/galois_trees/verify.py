@@ -11,9 +11,11 @@ weight polynomials of the character-twisted matroids at the N-1 nontrivial
 characters.  The right-hand side is assembled from base data only, one
 Galois orbit of characters at a time: rho^k (k prime to the exponent m of G)
 has rho's kernel, hence rho's bases, and P_{rho^k} = sigma_k(P_rho), so each
-orbit's product is rational with integer coefficients.  The left side is
-computed from the built cover, by exhaustive tree enumeration when the tree
-count is small enough, and by the Smith-form tree count otherwise (then
+orbit's product is rational with integer coefficients.  The product is
+taken modulo primes that split completely in Q(zeta_m), never in Z[zeta_m]
+(see ``assemble_rhs``).  The left side is computed from the built cover: its
+tree polynomial by the frontier sweep of ``graphs.tree_sweep`` when the tree
+count is small enough, and only the Smith-form tree count otherwise (then
 equality is decided at the integer level and reported as such).
 """
 
@@ -24,6 +26,15 @@ from fractions import Fraction
 from math import gcd
 
 from .algebra import MultiPoly
+from .algebra.modular import (
+    PackedKeys,
+    mul_mod,
+    product_bound,
+    root_of_unity,
+    split_modulus,
+    split_prime,
+    value_mod,
+)
 from .covers import Cover, CoverSpec, build_cover, is_connected_cover, validate_spec
 from .graphs import degree_sequence, genus
 from .groups import Character, characters
@@ -111,8 +122,33 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
     """Base polynomial, prefactor, per-character reports, RHS polynomial, RHS count.
 
     Bases are enumerated once per Galois orbit of characters, and the other
-    reports of the orbit are sigma_k conjugates.  Each orbit's product is
-    converted to int coefficients, and the orbit products multiply over Z.
+    reports of the orbit are sigma_k conjugates.  No product is taken in
+    Z[zeta_m] (m the exponent of G); the product is taken modulo split
+    primes instead:
+
+    - Ring map.  Primes p ≡ 1 (mod m) split completely in Q(zeta_m), so
+      with M a product of such primes and omega a primitive m-th root of
+      unity modulo each (combined by CRT), zeta -> omega is a ring map
+      Z[zeta_m] -> Z/M (``modular.split_modulus``).
+    - Bound.  The product N * RHS = prefactor_num * J_base * prod_rho P_rho
+      has integer coefficients, each at most B = prefactor_num * l1(J_base)
+      * prod_rho l1(P_rho) in size, where l1 sums |power-basis coefficient|
+      over all terms: |sigma(c)| <= l1(c) in every embedding and
+      l1(f g) <= l1(f) l1(g) (``modular.product_bound``).  M > 2B, so the
+      symmetric lift of the product mod M is the product over Z.
+    - Packed keys.  Monomials are ints with one bit field per variable,
+      wide enough for the product (``modular.PackedKeys``).  Each orbit's
+      product is taken first, then its product with prefactor_num * J_base;
+      the result is lifted and unpacked once, checked, and divided by N
+      over Z.
+
+    Two checks raise AssertionError explicitly, so they hold under
+    ``python -O``.  Rationality: an orbit product is rational because the
+    orbit is Galois-stable and P_{rho^k} = sigma_k(P_rho), so modulo the
+    first prime its image under zeta -> omega^j (the least j > 1 prime to
+    m) must equal its image under zeta -> omega.  Extra prime: modulo one
+    more split prime, unused by the CRT, the lifted product at a fixed
+    integer point must equal prefactor_num * J_base * prod_rho P_rho there.
     """
     group = spec.group
     n, m = group.order, group.exponent
@@ -127,26 +163,54 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
 
     nontrivial = [rho for rho in characters(group) if not rho.is_trivial()]
     found: dict[Character, CharacterReport] = {}
-    product = base_poly * prefactor_num
+    orbits: list[tuple[Character, list[MultiPoly]]] = []
     for rho in nontrivial:
         if rho in found:
             continue
         first = CharacterReport(**vars(weight_polynomial(spec, rho)))
         # every k with rho^k = conj gives its report: rho takes ord(rho)-th roots as values
         orbit = {rho.power(k): k for k in range(1, m) if gcd(k, m) == 1}
-        orbit_product = MultiPoly.const(1)
         for conj, k in orbit.items():
             found[conj] = first.galois(k)
-            orbit_product = orbit_product * found[conj].polynomial
-        coeffs = {mono: c.as_int() for mono, c in orbit_product.terms.items()}
-        if None in coeffs.values():
-            raise AssertionError(f"the product over the orbit of {rho.exponents} is not rational")
-        product = product * MultiPoly(coeffs)
-
-    if any(c % n for c in product.terms.values()):
-        raise AssertionError("the right-hand side must be divisible by |G|")
-    rhs = MultiPoly({mono: c // n for mono, c in product.terms.items()})
+        orbits.append((rho, [found[conj].polynomial for conj in orbit]))
     reports = tuple(found[rho] for rho in nontrivial)
+    factors = [base_poly] + [rep.polynomial for rep in reports]
+
+    modulus, omega, used = split_modulus(m, product_bound(prefactor_num, factors))
+    keys = PackedKeys(factors)
+
+    def product_of(polys, root, mod):
+        out = {0: 1}
+        for poly in polys:
+            out = mul_mod(out, keys.residues(poly, root, mod), mod)
+        return out
+
+    p = split_prime(m, 0)
+    j = next((j for j in range(2, m) if gcd(j, m) == 1), None)
+    product = mul_mod({0: prefactor_num}, keys.residues(base_poly, omega, modulus), modulus)
+    for rho, polys in orbits:
+        orbit_product = product_of(polys, omega, modulus)
+        if j is not None:  # a rational product is the same under zeta -> omega^j
+            at_p = {k: r for k, c in orbit_product.items() if (r := c % p)}
+            if product_of(polys, pow(omega, j, p), p) != at_p:
+                raise AssertionError(
+                    f"the product over the orbit of {rho.exponents} is not rational"
+                )
+        product = mul_mod(product, orbit_product, modulus)
+
+    half = modulus // 2
+    lifted = keys.unpack({k: c - modulus if c > half else c for k, c in product.items()})
+    q = split_prime(m, used)
+    omega_q = root_of_unity(m, q)
+    point = {v: 2 + i for i, v in enumerate(keys.shift)}
+    expected = prefactor_num
+    for f in factors:
+        expected = expected * value_mod(f, point, omega_q, q) % q
+    if value_mod(lifted, point, omega_q, q) != expected:
+        raise AssertionError("the multimodular right-hand side disagrees modulo an extra prime")
+    if any(c % n for c in lifted.terms.values()):
+        raise AssertionError("the right-hand side must be divisible by |G|")
+    rhs = MultiPoly({mono: c // n for mono, c in lifted.terms.items()})
     return base_poly, prefactor, reports, rhs, rhs.value_at_ones()
 
 

@@ -3,7 +3,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, prod
 from pathlib import Path
 
 import pytest
@@ -607,6 +607,24 @@ def test_det_over_ring_extra_prime_check_survives_optimize():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_det_bound_covers_integer_determinants():
+    rng = random.Random(17)
+    one = UniPoly.const(1)
+    tighter = 0
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        size = rng.choice((1, 3, 50))
+        rows = [[UniPoly([rng.randint(-size, size) for _ in range(rng.randint(1, 3))])
+                 for _ in range(n)] for _ in range(n)]
+        entries = [[x.coeffs for x in r] for r in rows]
+        largest = max((abs(c) for c in _leibniz(rows, one).coeffs), default=0)
+        bound = intmat._det_bound(entries, 1)
+        assert bound >= largest
+        l1 = [[sum(map(abs, x)) for x in r] for r in entries]
+        tighter += bound < min(prod(map(sum, l1)), prod(map(sum, zip(*l1))))
+    assert tighter > 20
 
 
 def test_multipoly_division_with_cyclotomic_coefficients():

@@ -2,23 +2,33 @@
 
 import json
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from math import gcd
+from pathlib import Path
+
+import pytest
 
 from click.testing import CliRunner
 
+import galois_trees
 from galois_trees import (
     AbelianGroup,
     CoverSpec,
     CycInt,
     MultiPoly,
     assemble_rhs,
+    jacobian_polynomial,
     matroids,
+    subgroup_from_generators,
     verify,
     verify_main_theorem,
     weight_polynomial,
 )
 from galois_trees.cli import main
-from helpers import SPEC_DIR, random_cover_spec, theta_graph
+from galois_trees.verify import CharacterReport
+from helpers import SPEC_DIR, dumbbell_graph, random_cover_spec, theta_graph
 
 ORBIT_GROUPS = (
     AbelianGroup((2, 4)),
@@ -48,9 +58,22 @@ def test_orbit_reports_match_direct_weight_polynomials():
     assert dilated
 
 
-def theta_z12_spec():
+def theta_spec(n=12):
     return CoverSpec(
-        base=theta_graph(), group=AbelianGroup((12,)), voltage={"f": (1,), "g": (3,)}
+        base=theta_graph(), group=AbelianGroup((n,)), voltage={"f": (1,), "g": (3,)}
+    )
+
+
+def dumbbell_spec(n):
+    group = AbelianGroup((n,))
+    return CoverSpec(
+        base=dumbbell_graph(),
+        group=group,
+        dilation={
+            "v1": subgroup_from_generators(group, [(n // 2,)]),
+            "v2": subgroup_from_generators(group, [(n // 3,)]),
+        },
+        voltage={"e1": (1,), "e2": (1,)},
     )
 
 
@@ -63,7 +86,7 @@ def test_one_matroid_enumeration_per_galois_orbit(monkeypatch):
         return enumerate_bases(spec, character)
 
     monkeypatch.setattr(matroids, "bases", counting)
-    report = verify_main_theorem(theta_z12_spec())
+    report = verify_main_theorem(theta_spec(12))
     assert report.equal
     # one orbit per character order 2, 3, 4, 6, 12; each led by its first member
     assert calls == [(1,), (2,), (3,), (4,), (6,)]
@@ -84,3 +107,153 @@ def test_planted_weight_error_is_an_internal_fault_not_bad_input(monkeypatch):
     assert result.exit_code == 1, result.output
     if not isinstance(result.exception, AssertionError):  # else the invariant caught it
         assert json.loads(result.output)["equal"] is False
+
+
+def rhs_over_cyclotomic_integers(spec, reports):
+    """The RHS by MultiPoly products over CycInt: each Galois orbit's product
+    made int, the orbit products and prefactor * J_base multiplied over Z."""
+    n, m = spec.group.order, spec.group.exponent
+    product = jacobian_polynomial(spec.base)
+    for v in spec.base.vertices:
+        d = spec.dilation_at(v).order
+        product = product * d ** (n // d)
+    by_character = {rep.character: rep for rep in reports}
+    seen = set()
+    for rep in reports:
+        if rep.character in seen:
+            continue
+        orbit = {rep.character.power(k) for k in range(1, m) if gcd(k, m) == 1}
+        seen |= orbit
+        orbit_product = MultiPoly.const(1)
+        for conj in orbit:
+            orbit_product = orbit_product * by_character[conj].polynomial
+        ints = orbit_product.map_coefficients(
+            lambda c: c if isinstance(c, int) else c.as_int()
+        )
+        assert None not in ints.terms.values()
+        product = product * ints
+    return product.exact_divide(n)
+
+
+REFERENCE_GROUPS = (
+    AbelianGroup((2, 3)),
+    AbelianGroup((2, 4)),
+    AbelianGroup((3, 3)),
+    AbelianGroup((12,)),
+    AbelianGroup((15,)),
+    AbelianGroup((16,)),
+)
+
+
+def test_rhs_modulo_primes_matches_products_over_cyclotomic_integers(monkeypatch):
+    primes_used = []
+    split_modulus = verify.split_modulus
+
+    def counting(m, bound):
+        modulus, omega, count = split_modulus(m, bound)
+        primes_used.append(count)
+        return modulus, omega, count
+
+    monkeypatch.setattr(verify, "split_modulus", counting)
+    rng = random.Random(23)
+    specs = [theta_spec(24), dumbbell_spec(24)]
+    for _ in range(40):
+        spec, _ = random_cover_spec(
+            rng, groups=REFERENCE_GROUPS, max_vertices=4, max_edges=4, dilation_prob=0.4
+        )
+        specs.append(spec)
+    assert sum(bool(spec.dilation) for spec in specs) >= 10
+    for spec in specs:
+        _, _, reports, rhs, count = assemble_rhs(spec)
+        expected = rhs_over_cyclotomic_integers(spec, reports)
+        assert rhs == expected
+        assert count == expected.value_at_ones()
+    assert len(primes_used) == len(specs) and max(primes_used) >= 2
+
+
+def test_rhs_takes_no_product_over_cyclotomic_integers(monkeypatch):
+    cyclotomic = []
+    multiply = MultiPoly.__mul__
+
+    def counting(self, other):
+        scalars = [*self.terms.values()]
+        scalars += other.terms.values() if isinstance(other, MultiPoly) else [other]
+        if any(isinstance(c, CycInt) for c in scalars):
+            cyclotomic.append((self, other))
+        return multiply(self, other)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counting)
+    monkeypatch.setattr(MultiPoly, "__rmul__", counting)
+    MultiPoly.variable("x") * CycInt.root(3, 1)  # the counter sees such a product
+    assert len(cyclotomic) == 1
+    cyclotomic.clear()
+    _, _, reports, rhs, _ = assemble_rhs(theta_spec(24))
+    assert len(reports) == 23 and rhs
+    assert cyclotomic == []
+
+
+def _bound_of_one(scale, factors):
+    return 1
+
+
+def test_a_bound_too_small_fails_the_extra_prime_check(monkeypatch):
+    spec = theta_spec(30)  # coefficients of 67 bits before the division by 30
+    _, _, _, rhs, _ = assemble_rhs(spec)
+    assert max(abs(c) * 30 for c in rhs.terms.values()) > 2**62
+    monkeypatch.setattr(verify, "product_bound", _bound_of_one)  # one prime only
+    with pytest.raises(AssertionError, match="extra prime"):
+        assemble_rhs(spec)
+
+
+def _plant_in_conjugate(real_galois, k_planted):
+    """CharacterReport.galois with one extra term in the report of rho^k_planted."""
+
+    def planted(self, k):
+        report = real_galois(self, k)
+        if k != k_planted:
+            return report
+        basis = tuple((e, 1) for e in report.matroid.bases[0])
+        extra = MultiPoly({basis: CycInt.root(report.scalar.conductor, 1)})
+        return replace(report, polynomial=report.polynomial + extra)
+
+    return planted
+
+
+def test_planted_conjugate_error_is_caught(monkeypatch):
+    monkeypatch.setattr(CharacterReport, "galois", _plant_in_conjugate(CharacterReport.galois, 2))
+    result = CliRunner().invoke(main, ["verify", str(SPEC_DIR / "icosahedron.json")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, AssertionError)
+    assert "not rational" in str(result.exception)
+
+
+def test_rhs_checks_survive_optimize():
+    script = (
+        "import sys; sys.path[:0] = sys.argv[1:]\n"
+        "from test_verify import _bound_of_one, _plant_in_conjugate, theta_spec\n"
+        "from galois_trees import assemble_rhs, parse_spec, verify\n"
+        "from helpers import SPEC_DIR\n"
+        "def fails(spec, message):\n"
+        "    try:\n"
+        "        assemble_rhs(spec)\n"
+        "    except AssertionError as exc:\n"
+        "        return message in str(exc)\n"
+        "    return False\n"
+        "real_bound = verify.product_bound\n"
+        "verify.product_bound = _bound_of_one\n"
+        "if not fails(theta_spec(30), 'extra prime'):\n"
+        "    sys.exit('a bound too small passed the extra-prime check')\n"
+        "verify.product_bound = real_bound\n"
+        "verify.CharacterReport.galois = _plant_in_conjugate(verify.CharacterReport.galois, 2)\n"
+        "if not fails(parse_spec((SPEC_DIR / 'icosahedron.json').read_text()), 'not rational'):\n"
+        "    sys.exit('a planted conjugate error passed the rationality check')\n"
+    )
+    here = Path(__file__).resolve().parent
+    src = Path(galois_trees.__file__).resolve().parent.parent
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script, str(here), str(src)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr

@@ -343,3 +343,27 @@ def test_icosahedron_resolution_l_leading_consistency():
         resolved, rho
     ).polynomial.value_at_ones()
     assert coeff == expected
+
+
+def test_metric_zeta_of_a_32_edge_matrix_takes_one_prime(monkeypatch):
+    from galois_trees.algebra import intmat
+
+    rng = random.Random(2)
+    spec, cover = random_cover_spec(
+        rng, free=True, max_vertices=3, max_edges=4, groups=(AbelianGroup((4,)),)
+    )
+    while len(spec.base.edges) < 4:
+        spec, cover = random_cover_spec(
+            rng, free=True, max_vertices=3, max_edges=4, groups=(AbelianGroup((4,)),)
+        )
+    lengths = {e: rng.randint(1, 2) for e in cover.total.edges}
+    expected = metric_zeta_reciprocal(cover.total, lengths)
+    indices = []
+    find_prime = intmat.split_prime
+    monkeypatch.setattr(
+        intmat, "split_prime", lambda m, i: (indices.append(i), find_prime(m, i))[1]
+    )
+    got = metric_zeta_reciprocal(cover.total, lengths)
+    assert len(cover.total.edges) == 16 and got == expected
+    # the Hadamard bound fits one prime for the CRT; index 1 is the extra check
+    assert indices == [0, 1]
