@@ -351,7 +351,7 @@ def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:
         # per map zeta -> omega^k, the determinant's s-coefficients mod p
         images = []
         for k in galois_exponents(m):
-            terms = _images(entries, p, k)
+            terms = _images(entries, p, pow(root_of_unity(m, p), k, p))
             images.append(_interpolate([det_mod(_at(terms, n, t, p), p) for t in range(d + 1)], p))
         solver = power_basis_solver(m, p)
         residues = [sum(a * b for a, b in zip(w, by_k)) % p
@@ -370,17 +370,17 @@ def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:
 
 def _check_extra_prime(entries, m: int, coords, p: int, point: int) -> None:
     """Compare the determinant with an F_p determinant at s = point, zeta -> omega."""
-    expected = det_mod(_at(_images(entries, p, 1), len(entries), point, p), p)
     omega = root_of_unity(m, p)
+    expected = det_mod(_at(_images(entries, p, omega), len(entries), point, p), p)
     got = evaluate_mod([evaluate_mod(c, omega, p) for c in coords], point, p)
     if got != expected:
         raise AssertionError("multimodular determinant disagrees modulo an extra prime")
 
 
-def _images(entries, p: int, k: int) -> list[tuple[int, int, list[int]]]:
-    """(i, j, s-coefficients mod p) of each nonzero entry under zeta -> omega^k."""
+def _images(entries, p: int, omega: int) -> list[tuple[int, int, list[int]]]:
+    """(i, j, s-coefficients mod p) of each nonzero entry under zeta -> omega."""
     return [
-        (i, j, [to_residue(c, p, k) for c in x])
+        (i, j, [to_residue(c, omega, p) for c in x])
         for i, r in enumerate(entries)
         for j, x in enumerate(r)
         if x

@@ -124,21 +124,19 @@ def galois_exponents(m: int) -> tuple[int, ...]:
     return tuple(k for k in range(1, m + 1) if gcd(k, m) == 1)
 
 
-def to_residue(value: CycInt | int, p: int, k: int = 1) -> int:
-    """The image of a cyclotomic integer under zeta -> omega^k in F_p.
+def to_residue(value: CycInt | int, omega: int, modulus: int) -> int:
+    """The image of a cyclotomic integer under zeta -> omega, reduced mod modulus.
 
     >>> p = split_prime(5, 0)
-    >>> z = CycInt.root(5, 1)
-    >>> to_residue(z, p) == root_of_unity(5, p)
-    True
-    >>> to_residue(sum(z.galois(k) for k in range(1, 5)), p) == p - 1
-    True
-    >>> to_residue(z * z.galois(2), p, 3) == to_residue(z, p, 3) * to_residue(z, p, 6) % p
+    >>> w, z = root_of_unity(5, p), CycInt.root(5, 1)
+    >>> to_residue(z, w, p) == w, to_residue(sum(z.galois(k) for k in range(1, 5)), w, p) == p - 1
+    (True, True)
+    >>> to_residue(z * z.galois(2), w, p) == pow(w, 3, p)
     True
     """
     if isinstance(value, int):
-        return value % p
-    return evaluate_mod(value.coeffs, pow(root_of_unity(value.conductor, p), k, p), p)
+        return value % modulus
+    return evaluate_mod(value.coeffs, omega, modulus)
 
 
 def evaluate_mod(coeffs, x: int, p: int) -> int:
@@ -163,7 +161,8 @@ def power_basis_solver(m: int, p: int) -> tuple[tuple[int, ...], ...]:
 
     >>> p = split_prime(8, 0)
     >>> z = CycInt.root(8, 3) + 7
-    >>> images = [to_residue(z, p, k) for k in galois_exponents(8)]
+    >>> w = root_of_unity(8, p)
+    >>> images = [to_residue(z, pow(w, k, p), p) for k in galois_exponents(8)]
     >>> [sum(r * v for r, v in zip(row, images)) % p for row in power_basis_solver(8, p)]
     [7, 0, 0, 1]
     """
@@ -298,7 +297,7 @@ class PackedKeys:
         """poly under zeta -> omega, coefficients mod modulus, keys packed."""
         out = {}
         for mono, c in poly.terms.items():
-            if r := _image(c, omega, modulus):
+            if r := to_residue(c, omega, modulus):
                 out[sum(e << self.shift[v] for v, e in mono)] = r
         return out
 
@@ -330,12 +329,9 @@ def value_mod(poly: MultiPoly, point: dict[str, int], omega: int, modulus: int) 
     """
     acc = 0
     for mono, c in poly.terms.items():
-        term = _image(c, omega, modulus)
+        term = to_residue(c, omega, modulus)
         for v, e in mono:
             term = term * pow(point[v], e, modulus) % modulus
         acc += term
     return acc % modulus
 
-
-def _image(c: CycInt | int, omega: int, modulus: int) -> int:
-    return evaluate_mod(c.coeffs, omega, modulus) if isinstance(c, CycInt) else c % modulus

@@ -3,7 +3,9 @@
 A cover specification holds a base graph, a finite abelian group G, a
 dilation datum (a subgroup D(v) per vertex, trivial when absent), and a
 voltage assignment (a group element per edge, read against the canonical
-orientation and only meaningful modulo D(source) + D(target)).
+orientation and only meaningful modulo D(source) + D(target)).  A
+``CoverSpec`` checks its ids and elements when it is made; ``validate_spec``
+only picks canonical voltage representatives (``build_cover`` calls it).
 
 The total graph is built fiberwise: the fiber over a vertex v is the coset
 space G/D(v), the fiber over an edge is G itself, the source map forgets
@@ -39,10 +41,25 @@ from .groups import (
 
 @dataclass(frozen=True)
 class CoverSpec:
+    """A cover specification, checked when made (ValueError): dilation ids are
+    base vertices with subgroups of ``group``, voltage ids are base edges with
+    elements of the group's arity.  ``validate_spec`` normalizes it."""
+
     base: Graph
     group: AbelianGroup
     dilation: dict[str, Subgroup] = field(default_factory=dict)
     voltage: dict[str, Element] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for v, sub in self.dilation.items():
+            if v not in self.base.vertices:
+                raise ValueError(f"dilation names unknown vertex {v!r}")
+            if sub.group != self.group:
+                raise ValueError(f"dilation subgroup at {v!r} has a different parent group")
+        for e, eta in self.voltage.items():
+            if e not in self.base.ends:
+                raise ValueError(f"voltage names unknown edge {e!r}")
+            self.group.reduce(eta)  # raises on a wrong arity
 
     def dilation_at(self, v: str) -> Subgroup:
         sub = self.dilation.get(v)
@@ -61,28 +78,17 @@ class NormalizedSpec(NamedTuple):
 
 
 def validate_spec(spec: CoverSpec) -> NormalizedSpec:
-    """Check id consistency and rewrite voltages as canonical coset reps.
+    """Rewrite voltages as canonical coset reps (``CoverSpec`` checks the ids).
 
     The canonical representative of a voltage class modulo
     D(source) + D(target) is its lexicographically smallest member; zero
     voltages and trivial dilation entries are dropped entirely.  The edges
-    whose stored representative changed are reported.
+    whose stored representative changed are reported.  Twisted matroids and
+    L-functions do not depend on the representative and take a spec as made.
     """
     g = spec.base
     group = spec.group
-    vset = set(g.vertices)
-    for v, sub in spec.dilation.items():
-        if v not in vset:
-            raise ValueError(f"dilation names unknown vertex {v!r}")
-        if sub.group != group:
-            raise ValueError(f"dilation subgroup at {v!r} has a different parent group")
-    eset = set(g.edges)
-    for e in spec.voltage:
-        if e not in eset:
-            raise ValueError(f"voltage names unknown edge {e!r}")
-    dilation = {
-        v: sub for v, sub in spec.dilation.items() if not sub.is_trivial()
-    }
+    dilation = {v: sub for v, sub in spec.dilation.items() if not sub.is_trivial()}
     voltage: dict[str, Element] = {}
     reduced = []
     for e in sorted(spec.voltage):

@@ -13,7 +13,14 @@ components of (1 - value)(1 - conjugate value) at the component's cycle
 voltage, an exact cyclotomic integer.  One oracle serves every entry
 point: it sees G through an image map (the character's value exponent, or
 "nonzero in G" for the untwisted matroid, ``character=None``), and a
-basis's weight is read off the component pass that found it.
+basis's weight is read off the component pass that found it.  That pass is
+one union-find over the kept edges with voltage potentials, the balance
+test of Zaslavsky's bias matroid (``_deletion_components``).
+
+Specs are taken as made, never normalized: changing a voltage by an element
+of D(source) + D(target) changes no cycle image in a component without a
+seen dilated vertex, so neither independence nor any weight depends on the
+coset representative.
 """
 
 from __future__ import annotations
@@ -22,8 +29,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import CycInt, MultiPoly, weight_of_root
-from .covers import CoverSpec, validate_spec
-from .graphs import EdgeSubset, Graph, connected_components, genus
+from .covers import CoverSpec
+from .graphs import EdgeSubset, genus
 from .groups import Character, subgroup_from_generators
 
 __all__ = [
@@ -39,67 +46,61 @@ __all__ = [
 ]
 
 
-def _deletion_components(g: Graph, removed: set[str]) -> list[tuple[list[str], list[str]]]:
-    """Connected components (vertices, edges) of the graph minus an edge set."""
-    kept = tuple(e for e in g.edges if e not in removed)
-    rest = Graph(g.vertices, kept, {e: g.ends[e] for e in kept})
-    return [(list(c.vertices), list(c.edges)) for c in connected_components(rest)]
+def _deletion_components(spec: CoverSpec, removed) -> list[tuple[list[str], list]]:
+    """(vertices, cycle voltages) of each component of the base minus ``removed``.
 
-
-def _cycle_voltages(spec: CoverSpec, comp_vertices: list[str], comp_edges: list[str]):
-    """Voltage sums along the fundamental cycles of one component."""
+    One union-find pass over the kept edges.  A link from a root to its
+    parent carries the potential difference pot(root) - pot(parent); an
+    edge s -> t of voltage eta either links the roots of s and t so that
+    pot(t) = pot(s) + eta, or, inside one component, closes a cycle of
+    voltage pot(s) + eta - pot(t).  The cycles closed in a component form a
+    basis of its cycle space.
+    """
     group = spec.group
-    g = spec.base
-    potential = {comp_vertices[0]: group.zero()}
-    tree_edges: set[str] = set()
-    adj: dict[str, list[tuple[str, str, tuple]]] = {v: [] for v in comp_vertices}
-    for e in comp_edges:
-        s, t = g.ends[e]
-        adj[s].append((e, t, spec.voltage_on(e)))
-        adj[t].append((e, s, group.neg(spec.voltage_on(e))))
-    stack = [comp_vertices[0]]
-    while stack:
-        v = stack.pop()
-        for e, w, step in adj[v]:
-            if w not in potential:
-                potential[w] = group.add(potential[v], step)
-                tree_edges.add(e)
-                stack.append(w)
-    values = []
-    for e in comp_edges:
-        if e in tree_edges:
+    up: dict[str, tuple[str, tuple]] = {}  # non-root -> (parent, pot difference)
+    members = {v: [v] for v in spec.base.vertices}
+    cycles: dict[str, list] = {v: [] for v in spec.base.vertices}
+
+    def find(v):
+        pot = group.zero()
+        while v in up:
+            v, step = up[v]
+            pot = group.add(pot, step)
+        return v, pot
+
+    for e in spec.base.edges:
+        if e in removed:
             continue
-        s, t = g.ends[e]
-        eta = spec.voltage_on(e)
-        # closing the tree path: potential(s) + eta - potential(t)
-        values.append(group.add(group.add(potential[s], eta), group.neg(potential[t])))
-    return values
+        s, t = spec.base.ends[e]
+        (rs, ps), (rt, pt) = find(s), find(t)
+        value = group.add(group.add(ps, spec.voltage_on(e)), group.neg(pt))
+        if rs == rt:
+            cycles[rs].append(value)
+        else:
+            up[rt] = (rs, value)
+            members[rs] += members.pop(rt)
+            cycles[rs] += cycles.pop(rt)
+    return [(members[r], cycles[r]) for r in members]
 
 
-def _require_usable(spec: CoverSpec):
+def _require_usable(spec: CoverSpec, character: Character | None = None, trivial_error=None):
     """The cover must be connected: read off the base, no cover is built.
 
     The cover is connected exactly when the base is, and the fundamental
     cycle voltages together with the dilation subgroups generate G.
+    ``trivial_error`` also rejects the trivial character.
     """
     if spec.group.is_trivial():
         raise ValueError("the matroid of a trivial cover is undefined")
-    comps = _deletion_components(spec.base, set())
+    comps = _deletion_components(spec, set())
     if len(comps) != 1:
         raise ValueError("the matroid requires a connected cover")
-    gens = set(_cycle_voltages(spec, *comps[0]))
+    gens = set(comps[0][1])
     gens.update(d for sub in spec.dilation.values() for d in sub.elements)
     if subgroup_from_generators(spec.group, gens).order != spec.group.order:
         raise ValueError("the matroid requires a connected cover")
-
-
-def _usable(spec: CoverSpec, character: Character | None = None, trivial_error=None):
-    """Validate a public entry's spec; ``trivial_error`` also rejects rho = 1."""
-    spec = validate_spec(spec).spec
-    _require_usable(spec)
     if trivial_error and character is not None and character.is_trivial():
         raise ValueError(trivial_error)
-    return spec
 
 
 def _image(spec: CoverSpec, character: Character | None):
@@ -126,9 +127,9 @@ def _oracle(spec: CoverSpec, image):
 
     def pieces(removed):
         out = []
-        for comp_v, comp_e in _deletion_components(spec.base, set(removed)):
+        for comp_v, voltages in _deletion_components(spec, set(removed)):
             dilated = sum(1 for v in comp_v if v in seen)
-            cycles = [image(x) for x in _cycle_voltages(spec, comp_v, comp_e)]
+            cycles = [image(x) for x in voltages]
             if not dilated and not any(cycles):
                 return None
             out.append((dilated, cycles))
@@ -153,7 +154,7 @@ def _weight(m: int, pieces, basis) -> CycInt:
 
 def is_independent(spec: CoverSpec, edge_set, character: Character | None = None) -> bool:
     """Independence oracle: deleting the edges must leave only visible components."""
-    spec = _usable(spec)
+    _require_usable(spec)
     removed = set(edge_set)
     unknown = removed - set(spec.base.edges)
     if unknown:
@@ -176,7 +177,7 @@ class TwistedMatroid:
 
 def basis_weight(spec: CoverSpec, character: Character, basis) -> CycInt:
     """Weight of a single basis; errors if the set is not a basis."""
-    spec = _usable(spec, character, "weights require a nontrivial character")
+    _require_usable(spec, character, "weights require a nontrivial character")
     basis = tuple(sorted(basis))
     if len(basis) != matroid_rank(spec, character):
         raise ValueError(f"{basis} is not a basis")
@@ -191,7 +192,7 @@ def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
     each weight read off the pass that found its basis; output is
     lexicographic.
     """
-    spec = _usable(spec, character, "the twisted matroid requires a nontrivial character")
+    _require_usable(spec, character, "the twisted matroid requires a nontrivial character")
     rank = matroid_rank(spec, character)
     pieces_of = _oracle(spec, _image(spec, character))
     found = []
@@ -212,7 +213,7 @@ def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
 
 def untwisted_bases(spec: CoverSpec) -> tuple[EdgeSubset, ...]:
     """Bases of the untwisted matroid (voltages compared in the group itself)."""
-    spec = _usable(spec)
+    _require_usable(spec)
     pieces_of = _oracle(spec, any)
     subsets = combinations(spec.base.edges, matroid_rank(spec, None))
     return tuple(subset for subset in subsets if pieces_of(subset) is not None)
@@ -220,7 +221,7 @@ def untwisted_bases(spec: CoverSpec) -> tuple[EdgeSubset, ...]:
 
 def max_independent_size(spec: CoverSpec, character: Character | None = None) -> int:
     """Largest independent set size by exhaustive search (test oracle)."""
-    spec = _usable(spec, character, "the twisted matroid requires a nontrivial character")
+    _require_usable(spec, character, "the twisted matroid requires a nontrivial character")
     pieces_of = _oracle(spec, _image(spec, character))
     edges = spec.base.edges
     for size in range(len(edges), -1, -1):

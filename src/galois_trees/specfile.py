@@ -20,7 +20,7 @@ from typing import Mapping
 from .covers import CoverSpec
 from .errors import SpecFormatError
 from .graphs import build_graph
-from .groups import AbelianGroup, subgroup_from_generators
+from .groups import AbelianGroup, minimal_generators, subgroup_from_generators
 
 _IGNORED_KEYS = {"schema", "name", "comment"}
 _KNOWN_KEYS = {"vertices", "edges", "group", "dilation", "voltage"} | _IGNORED_KEYS
@@ -96,29 +96,20 @@ def parse_spec(document: str | Mapping) -> CoverSpec:
 
     dilation = {}
     for v, gen_lists in _object(data, "dilation").items():
-        if v not in set(base.vertices):
-            raise SpecFormatError(f"dilation names unknown vertex {v!r}")
         if not isinstance(gen_lists, list):
             raise SpecFormatError(f"dilation at {v!r} must be a list of generators")
         gens = [parse_element(obj, f"dilation at {v!r}") for obj in gen_lists]
-        sub = subgroup_from_generators(group, gens)
-        if not sub.is_trivial():
-            dilation[v] = sub
-
-    voltage = {}
-    for e, obj in _object(data, "voltage").items():
-        if e not in set(base.edges):
-            raise SpecFormatError(f"voltage names unknown edge {e!r}")
-        elt = parse_element(obj, f"voltage on {e!r}")
-        if elt != group.zero():
-            voltage[e] = elt
-
-    return CoverSpec(base=base, group=group, dilation=dilation, voltage=voltage)
+        dilation[v] = subgroup_from_generators(group, gens)
+    voltage = {
+        e: parse_element(obj, f"voltage on {e!r}") for e, obj in _object(data, "voltage").items()
+    }
+    try:
+        return CoverSpec(base=base, group=group, dilation=dilation, voltage=voltage)
+    except ValueError as exc:
+        raise SpecFormatError(str(exc)) from exc
 
 
 def spec_to_dict(spec: CoverSpec) -> dict:
-    from .groups import minimal_generators
-
     return {
         "schema": "galois-trees/1",
         "vertices": list(spec.base.vertices),

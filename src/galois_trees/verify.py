@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
 
 from .algebra import MultiPoly
 from .algebra.modular import (
     PackedKeys,
+    galois_exponents,
     mul_mod,
     product_bound,
     root_of_unity,
@@ -35,7 +35,7 @@ from .algebra.modular import (
     split_prime,
     value_mod,
 )
-from .covers import Cover, CoverSpec, build_cover, is_connected_cover, validate_spec
+from .covers import Cover, CoverSpec, build_cover, is_connected_cover
 from .graphs import degree_sequence, genus
 from .groups import Character, characters
 from .jacobians import (
@@ -169,7 +169,7 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
             continue
         first = CharacterReport(**vars(weight_polynomial(spec, rho)))
         # every k with rho^k = conj gives its report: rho takes ord(rho)-th roots as values
-        orbit = {rho.power(k): k for k in range(1, m) if gcd(k, m) == 1}
+        orbit = {rho.power(k): k for k in galois_exponents(m)}
         for conj, k in orbit.items():
             found[conj] = first.galois(k)
         orbits.append((rho, [found[conj].polynomial for conj in orbit]))
@@ -186,7 +186,7 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
         return out
 
     p = split_prime(m, 0)
-    j = next((j for j in range(2, m) if gcd(j, m) == 1), None)
+    j = next(iter(galois_exponents(m)[1:]), None)
     product = mul_mod({0: prefactor_num}, keys.residues(base_poly, omega, modulus), modulus)
     for rho, polys in orbits:
         orbit_product = product_of(polys, omega, modulus)
@@ -224,10 +224,10 @@ def verify_main_theorem(
     otherwise only the integer identity is decided and ``polynomial_checked``
     is False in the report.
     """
-    spec = validate_spec(spec).spec
     if spec.group.is_trivial():
         raise ValueError("verification needs a nontrivial group")
     cover = build_cover(spec)
+    spec = cover.spec  # normalized once, by build_cover
     if not is_connected_cover(cover):
         raise ValueError("verification needs a connected cover")
 

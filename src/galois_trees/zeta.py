@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .algebra import CycInt, UniPoly, det_over_ring
-from .covers import CoverSpec, validate_spec
+from .covers import CoverSpec
 from .graphs import Graph, genus, is_connected, valency_adjacency
 from .groups import Character
 
@@ -117,11 +117,12 @@ def ihara_zeta_reciprocal(g: Graph) -> UniPoly:
     return _three_term(g, a, one_minus_s2)
 
 
-def _require_free(spec: CoverSpec) -> CoverSpec:
-    spec = validate_spec(spec).spec
+def _require_free(spec: CoverSpec, rho: Character):
+    """Refuse dilation, or a character of another group; the spec is taken as made."""
     if not spec.is_free():
         raise ValueError("L-functions are defined for covers with no dilation")
-    return spec
+    if rho.group != spec.group:
+        raise ValueError("the character belongs to a different group than the cover")
 
 
 def metric_l_reciprocal(
@@ -129,7 +130,7 @@ def metric_l_reciprocal(
 ) -> UniPoly:
     """det(I - W_rho) for a dilation-free cover; the trivial character gives
     back the metric zeta reciprocal."""
-    spec = _require_free(spec)
+    _require_free(spec, rho)
     g = spec.base
     if not is_connected(g):
         raise ValueError("zeta functions require a connected graph")
@@ -166,7 +167,7 @@ def twisted_adjacency(spec: CoverSpec, rho: Character) -> list[list[CycInt]]:
 
 def artin_l_reciprocal_three_term(spec: CoverSpec, rho: Character) -> UniPoly:
     """(1 - s^2)^(g-1) det(I - s A_rho + s^2 (Q - I)) for a dilation-free cover."""
-    spec = _require_free(spec)
+    _require_free(spec, rho)
     g = spec.base
     if not is_connected(g):
         raise ValueError("zeta functions require a connected graph")
@@ -194,7 +195,7 @@ def twisted_laplacian(spec: CoverSpec, rho: Character) -> list[list[CycInt]]:
 def twisted_laplacian_det(spec: CoverSpec, rho: Character) -> CycInt:
     """det(Q - A_rho); nonzero for a connected dilation-free cover and a
     nontrivial character, and equal to the scalar matroid weight."""
-    spec = _require_free(spec)
+    _require_free(spec, rho)
     if rho.is_trivial():
         raise ValueError("the twisted Laplacian of the trivial character is singular")
     if not is_connected(spec.base):
@@ -220,7 +221,7 @@ def l_leading_at_one(
 ) -> tuple[int, CycInt]:
     """(vanishing order, leading coefficient) of the metric L reciprocal at
     s = 1 for a dilation-free cover and nontrivial character."""
-    spec = _require_free(spec)
+    _require_free(spec, rho)
     if rho.is_trivial():
         raise ValueError("use the zeta expansion for the trivial character")
     order, coeff = metric_l_reciprocal(spec, rho, lengths).vanishing_order_at_one()

@@ -452,3 +452,20 @@ def test_edgeless_base_vertex_action_from_labels():
     )
     with pytest.raises(AssertionError, match="not well defined"):
         validate_cover(bad)
+
+
+def test_cover_spec_checks_ids_and_elements_when_made():
+    g = theta_graph()
+    group = AbelianGroup((4,))
+    with pytest.raises(ValueError, match="dilation names unknown vertex 'zz'"):
+        CoverSpec(base=g, group=group, dilation={"zz": subgroup_from_generators(group, [(2,)])})
+    foreign = subgroup_from_generators(AbelianGroup((6,)), [(3,)])
+    with pytest.raises(ValueError, match="at 'u' has a different parent group"):
+        CoverSpec(base=g, group=group, dilation={"u": foreign})
+    with pytest.raises(ValueError, match="voltage names unknown edge 'zz'"):
+        CoverSpec(base=g, group=group, voltage={"zz": (1,)})
+    with pytest.raises(ValueError, match="wrong arity"):
+        CoverSpec(base=g, group=group, voltage={"e": (1, 0)})
+    # unreduced residues are kept as made; validate_spec reduces them
+    spec = CoverSpec(base=g, group=group, voltage={"e": (5,), "f": (-4,)})
+    assert validate_spec(spec).spec.voltage == {"e": (1,)}

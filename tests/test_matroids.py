@@ -9,6 +9,7 @@ from galois_trees import (
     CoverSpec,
     CycInt,
     MultiPoly,
+    artin_l_reciprocal_three_term,
     bases,
     basis_weight,
     build_cover,
@@ -20,7 +21,9 @@ from galois_trees import (
     matroids,
     matroid_rank,
     max_independent_size,
+    metric_l_reciprocal,
     subgroup_from_generators,
+    subgroup_sum,
     switch_voltages,
     twisted_laplacian_det,
     untwisted_bases,
@@ -367,3 +370,40 @@ def test_bases_make_one_component_pass_per_subset(monkeypatch):
     assert len(matroid.bases) == 13
     # one pass per rank-sized subset, plus the connectivity check
     assert len(calls) == comb(6, 4) + 1 == 16
+
+
+def test_matroids_and_l_functions_ignore_the_voltage_representative():
+    rng = random.Random(57)
+    dilated = shifted = 0
+    for _ in range(40):
+        spec, _ = random_cover_spec(rng, max_vertices=4, max_edges=6)
+        normalized = validate_spec(spec).spec
+        group = spec.group
+        voltage = {}
+        for e in spec.base.edges:
+            # a random element of D(s) + D(t), plus multiples of the cyclic orders
+            joint = subgroup_sum(*map(spec.dilation_at, spec.base.ends[e])).elements
+            shift = joint[rng.randrange(len(joint))]
+            voltage[e] = tuple(
+                x + d + n * rng.randint(-2, 2)
+                for x, d, n in zip(normalized.voltage_on(e), shift, group.orders)
+            )
+            shifted += any(shift)
+        moved = CoverSpec(base=spec.base, group=group, dilation=spec.dilation, voltage=voltage)
+        assert untwisted_bases(moved) == untwisted_bases(normalized)
+        for rho in characters(group)[1:]:
+            mine, theirs = weight_polynomial(normalized, rho), weight_polynomial(moved, rho)
+            assert theirs.matroid.rank == mine.matroid.rank
+            assert theirs.matroid.bases == mine.matroid.bases
+            assert theirs.matroid.weights == mine.matroid.weights
+            assert theirs.polynomial == mine.polynomial
+            assert theirs.scalar == mine.scalar
+            if spec.is_free():
+                for entry in (
+                    metric_l_reciprocal,
+                    artin_l_reciprocal_three_term,
+                    twisted_laplacian_det,
+                ):
+                    assert entry(moved, rho) == entry(normalized, rho)
+        dilated += not spec.is_free()
+    assert 10 <= dilated <= 30 and shifted >= 10

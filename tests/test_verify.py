@@ -18,17 +18,23 @@ from galois_trees import (
     CoverSpec,
     CycInt,
     MultiPoly,
+    artin_l_reciprocal_three_term,
     assemble_rhs,
+    bases,
+    characters,
+    covers,
     jacobian_polynomial,
     matroids,
+    metric_l_reciprocal,
     subgroup_from_generators,
+    twisted_laplacian_det,
     verify,
     verify_main_theorem,
     weight_polynomial,
 )
 from galois_trees.cli import main
 from galois_trees.verify import CharacterReport
-from helpers import SPEC_DIR, dumbbell_graph, random_cover_spec, theta_graph
+from helpers import SPEC_DIR, dumbbell_graph, icosahedron_spec, random_cover_spec, theta_graph
 
 ORBIT_GROUPS = (
     AbelianGroup((2, 4)),
@@ -257,3 +263,30 @@ def test_rhs_checks_survive_optimize():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_one_spec_validation_per_verification(monkeypatch):
+    calls = []
+    original = covers.validate_spec
+
+    def counted(spec):
+        calls.append(spec)
+        return original(spec)
+
+    # every package module that holds the name, as a tracer would find it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("galois_trees") and getattr(module, "validate_spec", None) is original:
+            monkeypatch.setattr(module, "validate_spec", counted)
+    for spec in (theta_spec(12), icosahedron_spec()):
+        calls.clear()
+        verify_main_theorem(spec)
+        assert len(calls) == 1
+        calls.clear()
+        rho = characters(spec.group)[1]
+        bases(spec, rho)
+        weight_polynomial(spec, rho)
+        if spec.is_free():
+            metric_l_reciprocal(spec, rho)
+            artin_l_reciprocal_three_term(spec, rho)
+            twisted_laplacian_det(spec, rho)
+        assert calls == []

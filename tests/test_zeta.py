@@ -367,3 +367,15 @@ def test_metric_zeta_of_a_32_edge_matrix_takes_one_prime(monkeypatch):
     assert len(cover.total.edges) == 16 and got == expected
     # the Hadamard bound fits one prime for the CRT; index 1 is the extra check
     assert indices == [0, 1]
+
+
+def test_l_functions_reject_a_character_of_another_group():
+    spec = CoverSpec(
+        base=theta_graph(), group=AbelianGroup((4,)), voltage={"e": (1,), "f": (2,)}
+    )
+    rho = characters(AbelianGroup((6,)))[1]
+    for entry in (metric_l_reciprocal, artin_l_reciprocal_three_term, twisted_laplacian_det):
+        with pytest.raises(ValueError, match="different group"):
+            entry(spec, rho)
+    with pytest.raises(ValueError, match="different group"):
+        l_leading_at_one(spec, rho)
