@@ -15,7 +15,7 @@ import sys
 
 import click
 
-from .covers import build_cover, free_resolution, is_connected_cover, validate_spec
+from .covers import build_cover, free_resolution, is_connected_cover
 from .graphs import degree_sequence, genus
 from .groups import characters
 from .jacobians import jacobian_group, jacobian_polynomial, specialized_jacobian_polynomial
@@ -119,10 +119,13 @@ def command(*options):
 @command()
 def build(spec):
     """Construct the cover and print its shape."""
-    normalized, reduced = validate_spec(spec)
-    cover = build_cover(normalized)
+    cover = build_cover(spec)
+    reduced = [
+        e for e in sorted(spec.voltage)
+        if spec.group.reduce(spec.voltage[e]) != cover.spec.voltage_on(e)
+    ]
     payload = {
-        "normalized_voltages_on": list(reduced),
+        "normalized_voltages_on": reduced,
         "total": {
             "vertices": list(cover.total.vertices),
             "edges": [

@@ -153,45 +153,32 @@ def build_cover(spec: CoverSpec) -> Cover:
     group = spec.group
     elements = group.elements()
 
-    # coset representative tables per vertex
-    coset_rep: dict[str, dict[Element, Element]] = {}
+    # elements run in ascending order, so a coset is first met at its least member
+    vertex_map: dict[str, str] = {}
+    local_degrees: dict[str, int] = {}
+    name: dict[str, dict[Element, str]] = {}
     for v in g.vertices:
         d = spec.dilation_at(v)
-        table: dict[Element, Element] = {}
+        name[v] = {}
         for a in elements:
-            if a in table:
-                continue
-            coset = sorted(group.add(a, h) for h in d.elements)
-            rep = coset[0]
-            for member in coset:
-                table[member] = rep
-        coset_rep[v] = table
-
-    def vertex_id(v: str, a: Element) -> str:
-        return f"{v}@{_fmt(coset_rep[v][a])}"
-
-    total_vertices = []
-    for v in g.vertices:
-        total_vertices.extend(sorted({vertex_id(v, a) for a in elements}))
+            if a not in name[v]:
+                tv = f"{v}@{_fmt(a)}"
+                vertex_map[tv] = v
+                local_degrees[tv] = d.order
+                for h in d.elements:
+                    name[v][group.add(a, h)] = tv
 
     edge_descriptions = []
+    edge_map = {}
     for e in g.edges:
         s, t = g.ends[e]
         eta = spec.voltage_on(e)
         for a in elements:
-            edge_descriptions.append(
-                (f"{e}@{_fmt(a)}", vertex_id(s, a), vertex_id(t, group.add(a, eta)))
-            )
-    total = build_graph(total_vertices, edge_descriptions)
+            te = f"{e}@{_fmt(a)}"
+            edge_descriptions.append((te, name[s][a], name[t][group.add(a, eta)]))
+            edge_map[te] = e
+    total = build_graph(vertex_map, edge_descriptions)
 
-    vertex_map = {}
-    for v in g.vertices:
-        for a in elements:
-            vertex_map[vertex_id(v, a)] = v
-    edge_map = {f"{e}@{_fmt(a)}": e for e in g.edges for a in elements}
-    local_degrees = {
-        tv: spec.dilation_at(bv).order for tv, bv in vertex_map.items()
-    }
     return Cover(
         total=total,
         base=g,

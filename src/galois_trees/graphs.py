@@ -165,6 +165,22 @@ def contract(g: Graph, edge_ids: Iterable[str]) -> tuple[Graph, dict[str, str]]:
     return Graph(tuple(sorted(new_vertices)), tuple(sorted(ends)), ends), projection
 
 
+def edge_lengths(g: Graph, lengths: Mapping[str, int] | None) -> dict[str, int]:
+    """Every edge's length, 1 where none is given; a length must be a positive
+    int (not a bool) and name an edge of g, else ValueError."""
+    if lengths:
+        unknown = set(lengths) - set(g.edges)
+        if unknown:
+            raise ValueError(f"length given for unknown edge {sorted(unknown)[0]!r}")
+    out = {}
+    for e in g.edges:
+        x = 1 if lengths is None else lengths.get(e, 1)
+        if isinstance(x, bool) or not isinstance(x, int) or x < 1:
+            raise ValueError(f"edge length for {e!r} must be a positive integer")
+        out[e] = x
+    return out
+
+
 def valency_adjacency(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
     """Valency matrix Q and adjacency matrix A, rows/columns in vertex order.
 

@@ -25,7 +25,7 @@ from typing import Mapping
 
 from .algebra import MultiPoly, int_det, smith_diagonal
 from .covers import Cover
-from .graphs import Graph, build_graph, is_connected, tree_sweep
+from .graphs import Graph, build_graph, edge_lengths, is_connected, tree_sweep
 
 
 def laplacian(g: Graph) -> list[list[int]]:
@@ -113,18 +113,18 @@ def specialized_jacobian_polynomial(cover: Cover) -> MultiPoly:
 
 
 def subdivide(g: Graph, chain_lengths: Mapping[str, int]) -> Graph:
-    """Replace each edge by a chain of the given positive length.
+    """Replace each edge by a chain of the given length.
 
-    Length 1 keeps the edge untouched (same id); longer chains introduce
-    fresh interior vertices named after the edge.
+    Lengths follow ``edge_lengths`` (positive ints naming edges of g, 1 where
+    none is given).  Length 1 keeps the edge untouched (same id); longer
+    chains introduce fresh interior vertices named after the edge.
     """
+    chain_lengths = edge_lengths(g, chain_lengths)
     vertices = list(g.vertices)
     used = set(vertices)
     edges = []
     for e in g.edges:
-        n_e = chain_lengths.get(e, 1)
-        if n_e < 1:
-            raise ValueError(f"chain length for edge {e!r} must be positive")
+        n_e = chain_lengths[e]
         s, t = g.ends[e]
         if n_e == 1:
             edges.append((e, s, t))

@@ -131,6 +131,15 @@ def test_subdivide_examples():
         subdivide(theta, {"e": 0})
 
 
+def test_subdivide_refuses_what_metric_zeta_refuses():
+    theta = theta_graph()
+    with pytest.raises(ValueError, match="unknown edge 'zz'"):
+        subdivide(theta, {"zz": 3})
+    for bad in (True, 2.5, 0, "2"):
+        with pytest.raises(ValueError, match="positive integer"):
+            subdivide(theta, {"e": bad})
+
+
 def test_subdivision_counts_random():
     rng = random.Random(23)
     for _ in range(10):

@@ -74,6 +74,20 @@ def test_l_at_trivial_character_is_zeta():
     assert artin_l_reciprocal_three_term(spec, trivial) == ihara_zeta_reciprocal(
         theta_graph()
     )
+    # the untwisted forms are the trivial character's on any base, loops included
+    rng = random.Random(46)
+    loops = 0
+    for _ in range(8):
+        g = random_connected_multigraph(rng, 4, 7)
+        loops += sum(g.is_loop(e) for e in g.edges)
+        lengths = {e: rng.randint(1, 3) for e in g.edges}
+        spec = CoverSpec(base=g, group=AbelianGroup((3,)))
+        trivial = characters(spec.group)[0]
+        assert metric_l_reciprocal(spec, trivial, lengths) == metric_zeta_reciprocal(
+            g, lengths
+        )
+        assert artin_l_reciprocal_three_term(spec, trivial) == ihara_zeta_reciprocal(g)
+    assert loops
 
 
 def test_z2_loop_l_function():
@@ -296,6 +310,18 @@ def test_census_examples():
     wl = _unit_edge_matrix(loop)
     for m in range(1, 6):
         assert counts[m] == _matpow_trace(wl, m)
+
+    rng = random.Random(47)
+    loops = parallel = 0
+    for _ in range(8):
+        g = random_connected_multigraph(rng, 4, 6)
+        loops += sum(g.is_loop(e) for e in g.edges)
+        parallel += len(g.edges) - len({frozenset(ends) for ends in g.ends.values()})
+        counts = closed_path_census(g, 5)
+        w = _unit_edge_matrix(g)
+        for m in range(1, 6):
+            assert counts[m] == _matpow_trace(w, m)
+    assert loops and parallel
 
 
 def test_census_matches_log_series():
