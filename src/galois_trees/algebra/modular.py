@@ -11,18 +11,19 @@ and zeta -> omega is then a ring map Z[zeta_m] -> Z/M.
 
 Primes are searched downwards from 2^62 and cached per conductor, so that
 multimodular algorithms over Z[zeta_m] can ask for the i-th one; nothing
-is computed at import.  There are two users: ``intmat.det_over_ring``
-takes determinants over Z[zeta_m][s] prime by prime under every map
-zeta -> omega^k, and ``verify.assemble_rhs`` multiplies the weight
-polynomials modulo one product M of primes (``split_modulus``,
-``product_bound``, ``PackedKeys``, ``mul_mod``, ``value_mod``).
+is computed at import.  ``intmat.det_over_ring`` takes determinants over
+Z[zeta_m][s] prime by prime under every map zeta -> omega^k, and
+``verify.assemble_rhs`` multiplies the weight polynomials modulo one
+product M of primes (``split_modulus``, ``product_bound``, ``mul_mod``,
+``value_mod``) with monomials packed by ``PackedKeys``, the one layout that
+``graphs.tree_sweep`` also counts tree complements in.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from math import gcd, prod
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .cyclotomic import CycInt, euler_phi
 from .multipoly import MultiPoly
@@ -262,34 +263,27 @@ def product_bound(scale: int, factors: Iterable[MultiPoly]) -> int:
 
 
 class PackedKeys:
-    """Monomials of a product as ints, one bit field per variable.
-
-    Each field is wide enough for the sum of its variable's largest
-    exponents over the factors, so multiplying any of the factors adds keys
-    without a carry between fields, as in ``graphs.tree_sweep``.
+    """Monomials as ints, one bit field per variable, wide enough for its
+    largest exponent: adding keys within those bounds never carries, and
+    subtracting a ``unit`` lowers one exponent by one.  The one layout of
+    packed monomials: ``graphs.tree_sweep`` counts tree complements as keys,
+    ``jacobians.labeled_jacobian_polynomial`` unpacks them, and
+    ``verify.assemble_rhs`` multiplies the right-hand side's factors.
 
     >>> x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
     >>> f, g = x * x + 3 * y, x * y
-    >>> keys = PackedKeys([f, g])
+    >>> keys = PackedKeys({"x": 3, "y": 2})
     >>> keys.unpack(mul_mod(keys.residues(f, 1, 97), keys.residues(g, 1, 97), 97)) == f * g
     True
     """
 
-    def __init__(self, factors: Iterable[MultiPoly]):
-        total: dict[str, int] = {}
-        for f in factors:
-            largest: dict[str, int] = {}
-            for mono in f.terms:
-                for v, e in mono:
-                    largest[v] = max(largest.get(v, 0), e)
-            for v, e in largest.items():
-                total[v] = total.get(v, 0) + e
-        self.shift: dict[str, int] = {}
+    def __init__(self, largest: Mapping[str, int]):
+        self.unit: dict[str, int] = {}
         self.fields: list[tuple[str, int, int]] = []  # (variable, shift, mask)
         at = 0
-        for v in sorted(total):
-            width = total[v].bit_length()
-            self.shift[v] = at
+        for v in sorted(largest):
+            width = largest[v].bit_length()
+            self.unit[v] = 1 << at
             self.fields.append((v, at, (1 << width) - 1))
             at += width
 
@@ -298,7 +292,7 @@ class PackedKeys:
         out = {}
         for mono, c in poly.terms.items():
             if r := to_residue(c, omega, modulus):
-                out[sum(e << self.shift[v] for v, e in mono)] = r
+                out[sum(e * self.unit[v] for v, e in mono)] = r
         return out
 
     def unpack(self, terms: dict[int, int]) -> MultiPoly:

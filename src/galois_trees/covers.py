@@ -341,11 +341,11 @@ def free_resolution(spec: CoverSpec) -> FreeResolution:
 def contract_cover(cover: Cover, edge_ids: Iterable[str]) -> Cover:
     """Contract base edges and all their preimages, keeping the cover structure.
 
-    The local degree at a collapsed total vertex is the number of preimages,
-    inside the collapsed subgraph, of any one contracted base edge of the
-    corresponding base component (the global degree of the restriction).
+    G still acts transitively on each fibre, so every local degree is the
+    order of a stabilizer: |G| over the size of the vertex's fibre.
     Surviving edges keep their ``e@a`` ids, so the group action carries over;
-    ``validate_cover`` checks that it descends to the contraction.
+    ``validate_cover`` checks that it descends to the contraction, and its
+    balancing check tests the degrees independently.
     """
     fset = set(edge_ids)
     unknown = fset - set(cover.base.edges)
@@ -355,39 +355,14 @@ def contract_cover(cover: Cover, edge_ids: Iterable[str]) -> Cover:
     pre = [te for te in cover.total.edges if cover.edge_map[te] in fset]
     total_c, total_proj = contract(cover.total, pre)
 
-    members: dict[str, list[str]] = {}
+    vertex_map: dict[str, str] = {}
     for old, new in total_proj.items():
-        members.setdefault(new, []).append(old)
-
-    vertex_map = {}
-    for new, olds in members.items():
-        images = {base_proj[cover.vertex_map[o]] for o in olds}
-        if len(images) != 1:
+        image = base_proj[cover.vertex_map[old]]
+        if vertex_map.setdefault(new, image) != image:
             raise AssertionError("projection is not well defined after contraction")
-        vertex_map[new] = images.pop()
     edge_map = {te: be for te, be in cover.edge_map.items() if be not in fset}
-
-    # component of contracted base edges, keyed by collapsed base vertex
-    chosen_edge: dict[str, str] = {}
-    for e in sorted(fset):
-        bv = base_proj[cover.base.ends[e][0]]
-        chosen_edge.setdefault(bv, e)
-    local_degrees = {}
-    for new, olds in members.items():
-        if len(olds) == 1 and olds[0] == new:
-            local_degrees[new] = cover.local_degrees[new]
-            continue
-        bv = vertex_map[new]
-        e = chosen_edge.get(bv)
-        if e is None:
-            # collapsed on the total side only; keep the old degree
-            local_degrees[new] = cover.local_degrees[olds[0]]
-            continue
-        count = 0
-        for te, be in cover.edge_map.items():
-            if be == e and total_proj[cover.total.ends[te][0]] == new:
-                count += 1
-        local_degrees[new] = count
+    fibre = Counter(vertex_map.values())
+    local_degrees = {tv: cover.group.order // fibre[bv] for tv, bv in vertex_map.items()}
     return Cover(
         total=total_c,
         base=base_c,

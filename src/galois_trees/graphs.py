@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping
 
+from .algebra.modular import PackedKeys
+
 HalfEdge = tuple[str, int]
 EdgeSubset = tuple[str, ...]
 
@@ -264,59 +266,50 @@ def _breadth_first(g: Graph) -> list[str]:
     return order
 
 
-def tree_sweep(
-    g: Graph, labels: Mapping[str, str]
-) -> tuple[tuple[str, ...], dict[tuple[int, ...], int]]:
-    """Count spanning trees by how many tree edges carry each label.
+def tree_sweep(g: Graph, unit: Mapping[str, int]) -> dict[int, int]:
+    """Count spanning trees by their complements, as packed monomials.
 
-    Returns the sorted labels and a map from exponent vectors over them
-    (tree edges per label) to the number of spanning trees with that vector.
-    The graph must be connected.
+    ``unit`` gives each edge the key of its variable in a
+    ``modular.PackedKeys`` layout whose fields hold every edge carrying that
+    variable.  Returns a map from packed complements (the product of the
+    variables of the edges outside a tree) to the number of spanning trees
+    with that complement.  The graph must be connected.
 
     A frontier sweep (Sekine, Imai and Tani, ISAAC 1995): parallel non-loop
-    edges with one label form a bundle, and the bundles are processed in
+    edges with one unit form a bundle, and the bundles are processed in
     the order of their ends' positions in a breadth-first order of the
     vertices, which keeps the frontier narrow on long sparse graphs such as
     cyclic covers.  The frontier is the list of vertices already met that
     still have an unprocessed bundle; a state is a partition of the frontier
     into blocks of the forest chosen so far, kept in canonical form, and maps
-    to a polynomial counting the forests that reach it.  A bundle of k edges
-    with label x either stays out of the forest, or, when its ends lie in
-    different blocks, puts one of its k edges in and merges the blocks
-    (times k*x).  A vertex leaves the frontier after its last bundle; if its
-    block then has no frontier vertex left while another block does, the
-    state can never become a tree and is dropped.  Only the states of two
-    consecutive steps are alive, and nothing recurses.
-
-    Polynomials are dicts keyed by packed exponent vectors: one bit field
-    per label, wide enough for every non-loop edge with that label.  Adding
-    an edge is then one integer addition; with one label per edge, as in
-    ``spanning_trees``, tuple keys would copy a vector of |E| entries.
+    to a polynomial counting the forests that reach it.  Every state starts
+    from the product of all edge variables, loops included.  A bundle of k
+    edges with variable x either stays out of the forest, or, when its ends
+    lie in different blocks, puts one of its k edges in and merges the blocks
+    (times k, divided by x: its unit is subtracted).  A vertex leaves the
+    frontier after its last bundle; if its block then has no frontier vertex
+    left while another block does, the state can never become a tree and is
+    dropped.  Only the states of two consecutive steps are alive, and
+    nothing recurses.
     """
-    names = tuple(sorted({labels[e] for e in g.edges}))
-    slot = {lab: i for i, lab in enumerate(names)}
     idx = {v: i for i, v in enumerate(_breadth_first(g))}
-    bundles: Counter[tuple[int, int, str]] = Counter()
-    per_label: Counter[str] = Counter()
+    bundles: Counter[tuple[int, int, int]] = Counter()
     for e in g.edges:
         s, t = idx[g.ends[e][0]], idx[g.ends[e][1]]
         if s != t:
-            bundles[(min(s, t), max(s, t), labels[e])] += 1
-            per_label[labels[e]] += 1
-    width = max(per_label.values(), default=1).bit_length()
+            bundles[(min(s, t), max(s, t), unit[e])] += 1
     blist = sorted(bundles.items())
     last: dict[int, int] = {}
     for step, ((i, j, _), _) in enumerate(blist):
         last[i] = last[j] = step
 
     frontier: list[int] = []
-    states: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for step, ((i, j, lab), k) in enumerate(blist):
+    states: dict[tuple[int, ...], dict[int, int]] = {(): {sum(unit[e] for e in g.edges): 1}}
+    for step, ((i, j, u), k) in enumerate(blist):
         entering = [v for v in (i, j) if v not in frontier]
         frontier += entering
         pi, pj = frontier.index(i), frontier.index(j)
         leaving = sorted((frontier.index(v) for v in (i, j) if last[v] == step), reverse=True)
-        shift = 1 << (slot[lab] * width)
         following: dict[tuple[int, ...], dict[int, int]] = {}
         for key, poly in states.items():
             for _ in entering:
@@ -326,7 +319,7 @@ def tree_sweep(
                 low, high = min(a, b), max(a, b)
                 merged = _leave(tuple([low if x == high else x for x in key]), leaving)
                 if merged is not None:
-                    _add_into(following, merged, {m + shift: c * k for m, c in poly.items()})
+                    _add_into(following, merged, {m - u: c * k for m, c in poly.items()})
             kept = _leave(key, leaving) if leaving else key
             if kept is not None:
                 # ``poly`` is not read again, so the new state may take it over
@@ -334,25 +327,21 @@ def tree_sweep(
         for p in leaving:
             del frontier[p]
         states = following
-
-    mask = (1 << width) - 1
-    return names, {
-        tuple((m >> (s * width)) & mask for s in range(len(names))): c
-        for m, c in states.get((), {}).items()
-    }
+    return states.get((), {})
 
 
 def spanning_trees(g: Graph) -> list[EdgeSubset]:
     """All spanning trees, each a sorted tuple of edge ids, in lexicographic order.
 
-    A by-product of ``tree_sweep`` with one label per edge: every exponent
-    vector it returns marks the edges of exactly one tree.  Loops never occur
-    in a tree.
+    A by-product of ``tree_sweep`` with one variable, and one one-bit field,
+    per edge: every complement it returns leaves out the edges of exactly
+    one tree.  Loops never occur in a tree.
     """
     if not is_connected(g):
         raise ValueError("spanning trees require a connected graph")
-    names, counts = tree_sweep(g, {e: e for e in g.edges})
-    return sorted(tuple(e for e, x in zip(names, exps) if x) for exps in counts)
+    keys = PackedKeys(dict.fromkeys(g.edges, 1))
+    outside = keys.unpack(tree_sweep(g, keys.unit)).terms
+    return sorted(tuple(e for e in g.edges if e not in dict(mono)) for mono in outside)
 
 
 def spanning_trees_bruteforce(g: Graph) -> list[EdgeSubset]:

@@ -13,7 +13,10 @@ relabeling, which is what expressing a cover's polynomial in base variables
 needs.  Trees are counted as coefficients by a frontier sweep over the
 edges (``graphs.tree_sweep``), never visited one by one, so the cost
 follows the frontier partitions and the terms kept for each, not the
-number of trees.
+number of trees.  The sweep counts complements directly, as keys of a
+``modular.PackedKeys`` layout sized by the label counts; for a cover
+labeled by base edges that is {base edge: N}, the layout the right-hand
+side of ``verify.assemble_rhs`` uses.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from math import prod
 from typing import Mapping
 
 from .algebra import MultiPoly, int_det, smith_diagonal
+from .algebra.modular import PackedKeys
 from .covers import Cover
 from .graphs import Graph, build_graph, edge_lengths, is_connected, tree_sweep
 
@@ -84,19 +88,16 @@ def labeled_jacobian_polynomial(g: Graph, labels: Mapping[str, str] | None = Non
     ``labels`` renames the variable attached to each edge; distinct edges may
     share a label, in which case exponents add and coefficients count the
     trees sharing a complement.  The trees are counted, not visited, by the
-    frontier sweep of ``graphs.tree_sweep`` over bundles of parallel edges
-    with equal labels; each tree's complement is all edges minus its own.
+    frontier sweep of ``graphs.tree_sweep``, which returns the complements
+    packed in a ``PackedKeys`` layout with one field per label, wide enough
+    for all of the label's edges (loops too: they are in every complement).
     """
     if not is_connected(g):
         raise ValueError("the tree polynomial requires a connected graph")
     if labels is None:
         labels = {e: e for e in g.edges}
-    names, counts = tree_sweep(g, labels)
-    totals = Counter(labels[e] for e in g.edges)
-    return MultiPoly({
-        tuple((lab, totals[lab] - x) for lab, x in zip(names, exps) if totals[lab] != x): c
-        for exps, c in counts.items()
-    })
+    keys = PackedKeys(Counter(labels[e] for e in g.edges))
+    return keys.unpack(tree_sweep(g, {e: keys.unit[labels[e]] for e in g.edges}))
 
 
 def jacobian_polynomial(g: Graph) -> MultiPoly:

@@ -136,8 +136,10 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
       over all terms: |sigma(c)| <= l1(c) in every embedding and
       l1(f g) <= l1(f) l1(g) (``modular.product_bound``).  M > 2B, so the
       symmetric lift of the product mod M is the product over Z.
-    - Packed keys.  Monomials are ints with one bit field per variable,
-      wide enough for the product (``modular.PackedKeys``).  Each orbit's
+    - Packed keys.  Monomials are ints with one bit field per base edge,
+      wide enough for N (``modular.PackedKeys``): an edge variable has
+      exponent at most 1 in J_base and in each of the N - 1 P_rho.  That
+      is the layout of the left side's tree sweep too.  Each orbit's
       product is taken first, then its product with prefactor_num * J_base;
       the result is lifted and unpacked once, checked, and divided by N
       over Z.
@@ -177,7 +179,7 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
     factors = [base_poly] + [rep.polynomial for rep in reports]
 
     modulus, omega, used = split_modulus(m, product_bound(prefactor_num, factors))
-    keys = PackedKeys(factors)
+    keys = PackedKeys(dict.fromkeys(spec.base.edges, n))
 
     def product_of(polys, root, mod):
         out = {0: 1}
@@ -202,7 +204,7 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
     lifted = keys.unpack({k: c - modulus if c > half else c for k, c in product.items()})
     q = split_prime(m, used)
     omega_q = root_of_unity(m, q)
-    point = {v: 2 + i for i, v in enumerate(keys.shift)}
+    point = {v: 2 + i for i, v in enumerate(keys.unit)}
     expected = prefactor_num
     for f in factors:
         expected = expected * value_mod(f, point, omega_q, q) % q

@@ -196,23 +196,24 @@ def closed_path_census(g: Graph, max_length: int) -> dict[int, int]:
     A path is a sequence of oriented edges, consecutive ones composing head
     to tail, closing up, and never immediately backtracking (including
     around the closure).  Counted with starting edge and direction, so this
-    matches the trace of powers of the unit-length edge matrix.  Explicit
-    enumeration along the follower table, no matrix involved.
+    matches the trace of powers of the unit-length edge matrix.  Walks are
+    counted, not listed: for each first edge, the number of walks ending at
+    each last edge is stepped along the follower table, and a walk closes
+    when the first edge follows its last one.
     """
     if max_length < 1:
         raise ValueError("census length must be at least 1")
     if max_length > 12:
         raise ValueError("census length is capped at 12")
     followers = _followers(g)
-    counts = {m: 0 for m in range(1, max_length + 1)}
-
-    def extend(first: OrientedEdge, current: OrientedEdge, length: int):
-        if first in followers[current]:
-            counts[length] += 1
-        if length < max_length:
-            for nxt in followers[current]:
-                extend(first, nxt, length + 1)
-
-    for a in followers:
-        extend(a, a, 1)
+    counts = dict.fromkeys(range(1, max_length + 1), 0)
+    for first in followers:
+        walks = {first: 1}  # last edge -> walks of the current length from first
+        for length in counts:
+            counts[length] += sum(c for last, c in walks.items() if first in followers[last])
+            step: dict[OrientedEdge, int] = {}
+            for last, c in walks.items():
+                for nxt in followers[last]:
+                    step[nxt] = step.get(nxt, 0) + c
+            walks = step
     return counts

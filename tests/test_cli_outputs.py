@@ -31,6 +31,7 @@ def command_lines(name: str) -> dict[str, list[str]]:
         "jacpoly --cover": ["jacpoly", "--cover", path],
         "matroid --character 1": ["matroid", "--character", "1", path],
         "zeta --max-length 6": ["zeta", "--max-length", "6", path],
+        "zeta --max-length 12": ["zeta", "--max-length", "12", path],
         "zeta --lengths first=2": ["zeta", "--lengths", f"{_first_edge(name)}=2", path],
         "lfunction --character 1": ["lfunction", "--character", "1", path],
         "resolve": ["resolve", path],
@@ -52,6 +53,7 @@ PINNED = {
         'jacpoly --cover': (0, 'e3bb6e42f5ce7122e343dd654f0247a4172da171f3048a7321df667228c7f648'),
         'matroid --character 1': (0, '38b32249d93d38695f38437561fc0f70d2307d2813a795e7cebc43f204d14d05'),
         'zeta --max-length 6': (0, '63dd5262e16143513ee4d83d5d6a3cbe4788e4dc458e8fe403c4e715f3cd7f49'),
+        'zeta --max-length 12': (0, '01f4411f733cbcd15675e6f0763a675c119114545c99b21751ae9d67346c2452'),
         'zeta --lengths first=2': (0, 'c53730c16e310dd572a22fa6808cf0cb8ee56ced0b9aede775f1a92f43592ef0'),
         'lfunction --character 1': (2, '30605fea500bd7a8b058107641e12124c7e1f567f85cb4c51b53c1ef340a22e7'),
         'resolve': (0, '71ac59772e5932f682f3f9f8c6118d6e21275efec06d37c5c4dacf76a11b1bb9'),
@@ -65,6 +67,7 @@ PINNED = {
         'jacpoly --cover': (0, 'a4084f2860a2025d55379035f156e140c81492108008e2e3dc1f1afdd4551992'),
         'matroid --character 1': (0, '9be8555ef63a87d80ba7c56f7eaf76487f3d7cf13633f2c2c156b569f3d6b903'),
         'zeta --max-length 6': (0, '8f130464bac14c4e8897550de573f20e8752bf409ac4a02522623999efe11c1b'),
+        'zeta --max-length 12': (0, '7dd40799c974007663c4995ddd90b7ff6c6c880d65197814ea50a566c82b554d'),
         'zeta --lengths first=2': (0, 'c0d18923d71eda68a4cfbc96ffe1ce2a9c92116f71979817bf9c9cc9c19d9d0e'),
         'lfunction --character 1': (2, '30605fea500bd7a8b058107641e12124c7e1f567f85cb4c51b53c1ef340a22e7'),
         'resolve': (0, '12c6a9af5f006f8c6077ed49d0ed90fbb14789a8d8eaec41456fa90d2147cf27'),
@@ -78,6 +81,7 @@ PINNED = {
         'jacpoly --cover': (0, 'ab5373a6fe2a5b950fb88eb9a81eab77dbfcfcde59f85e12fd3c4e465c5e6b47'),
         'matroid --character 1': (2, 'deb2a46c21258dcb3696343616ee3793772ca514e52a5553da2d4c4bdc1fc1cb'),
         'zeta --max-length 6': (0, 'a7e4b6a781bc6d7a0893c9024950d7adbe759a3b9f326466da2a22a4bbefdd7a'),
+        'zeta --max-length 12': (0, '4c50e9284abc3b67d5b611ff7f7892462c1ccf7a5ad2fb9ea08d152ff6fde2a8'),
         'zeta --lengths first=2': (0, 'f09921bd78ca9135a2eb8ccf8d4ae2d6083bcf47993182c5396a221df7fc8c3f'),
         'lfunction --character 1': (2, 'deb2a46c21258dcb3696343616ee3793772ca514e52a5553da2d4c4bdc1fc1cb'),
         'resolve': (0, 'c025b9b248f47be5ac270d5d3b492344cd953ee3bd679405678d55ebcd448b33'),
@@ -91,6 +95,7 @@ PINNED = {
         'jacpoly --cover': (0, '5ed6ec83fb6c7806355f0b53225ec2bc2a814e97f95e3c51ad60c3e287378af3'),
         'matroid --character 1': (0, 'a39ef48b63fb9413b16f5eca0415f16983b4243a3f8e0192e33f3a982ed6a511'),
         'zeta --max-length 6': (0, 'a7e4b6a781bc6d7a0893c9024950d7adbe759a3b9f326466da2a22a4bbefdd7a'),
+        'zeta --max-length 12': (0, '4c50e9284abc3b67d5b611ff7f7892462c1ccf7a5ad2fb9ea08d152ff6fde2a8'),
         'zeta --lengths first=2': (0, 'f09921bd78ca9135a2eb8ccf8d4ae2d6083bcf47993182c5396a221df7fc8c3f'),
         'lfunction --character 1': (0, 'be6b02d37b503e5d816860520ae70805871a4b58f59924f65f73f8c5bdc10a93'),
         'resolve': (0, '17e8c1b4cc3edc6c84e5683deed632bb4f3fc7f0e70fdf6c099b782ce44f0ca7'),

@@ -289,6 +289,23 @@ def test_tree_sweep_matches_bruteforce_random():
         seen["one vertex"] += len(g.vertices) == 1
     # the population has loops, parallel edges sharing a label, single vertices
     assert min(seen.values()) > 0 and len(seen) == 3
+    # "w" is carried by loops only, and "x" by 1, 2, 4 or 8 edges, a loop
+    # among them from 2 on: a field sized by non-loop edges alone would
+    # carry into its neighbour
+    for total in (1, 2, 4, 8):
+        for _ in range(15):
+            others = total - (total > 1)
+            g = random_connected_multigraph(rng, 5, 9)
+            while len(g.edges) < others:
+                g = random_connected_multigraph(rng, 5, 9)
+            loops = [(f"l{i}", v, v) for i, v in enumerate(rng.choices(g.vertices, k=3))]
+            x_edges = ["l2"] * (total > 1) + rng.sample(g.edges, others)
+            g = build_graph(g.vertices, [(e, *g.ends[e]) for e in g.edges] + loops)
+            labels = {e: rng.choice("yz") for e in g.edges}
+            labels |= {"l0": "w", "l1": "w"} | dict.fromkeys(x_edges, "x")
+            assert Counter(labels.values())["x"] == total
+            assert labeled_jacobian_polynomial(g, labels) == _bruteforce_tree_polynomial(g, labels)
+            assert spanning_trees(g) == spanning_trees_bruteforce(g)
 
 
 def test_tree_enumeration_on_long_cycle():

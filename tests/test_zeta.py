@@ -323,6 +323,12 @@ def test_census_examples():
             assert counts[m] == _matpow_trace(w, m)
     assert loops and parallel
 
+    bouquet = build_graph(["v"], [(f"e{i}", "v", "v") for i in range(4)])
+    counts = closed_path_census(bouquet, 12)
+    wb = _unit_edge_matrix(bouquet)
+    for m in range(1, 13):
+        assert counts[m] == _matpow_trace(wb, m)
+
 
 def test_census_matches_log_series():
     # log of 1/det(I - W) should be sum N_m s^m / m, as a formal series
