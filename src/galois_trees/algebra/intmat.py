@@ -7,6 +7,7 @@ Laplacians overflow 64 bits already at modest sizes, so no numpy.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -176,7 +177,8 @@ def smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
 
     The rows are kept sparse, and each step pivots on a ±1 entry of least
     Markowitz cost (row nonzeros − 1)·(column nonzeros − 1), which limits
-    fill-in (Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).  Row
+    fill-in (Markowitz, Management Science 3, 1957; unit pivots first as in
+    Dumas, Saunders and Villard, J. Symb. Comput. 32, 2001).  Row
     operations clear the pivot's column; column operations would then
     clear its row without touching any other row, so a unit pivot adds one
     1 to the diagonal and its row and column are dropped.  When no ±1
@@ -184,36 +186,61 @@ def smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
     A Laplacian's entries off the diagonal are mostly −1, so its remainder
     is small.
 
+    The search does not rescan the matrix (Markowitz's search order and
+    stopping bound).  Live rows and unpivoted columns sit in buckets keyed
+    by their nonzero count, and the elimination moves only what it writes:
+    the rows holding the pivot column and the columns of the pivot row.
+    The search takes levels k = 1, 2, ...: the rows with k nonzeros, then
+    the columns with k nonzeros, each in increasing index order, costing
+    every ±1 entry they hold.  An entry not yet costed lies in a row and a
+    column with at least k nonzeros, so it costs at least (k − 1)²; the
+    search stops, after any row or column, once the best cost found is at
+    most that.  The pivot is thus a ±1 entry of least cost; among the
+    entries costed, ties go to the least row, then the least column.
+
     >>> smith_diagonal([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]])
     (1, 3, 0)
     """
     nc = len(rows[0]) if rows else 0
     if any(len(r) != nc for r in rows):
         raise ValueError("ragged matrix")
-    sparse = {i: {j: int(x) for j, x in enumerate(r) if x} for i, r in enumerate(rows)}
+    return _sparse_smith_diagonal([{j: int(x) for j, x in enumerate(r) if x} for r in rows], nc)
+
+
+def _sparse_smith_diagonal(rows: list[dict[int, int]], nc: int) -> tuple[int, ...]:
+    """``smith_diagonal`` of the matrix whose row i is {column: nonzero entry}
+    in ``rows[i]``, with ``nc`` columns; the dicts are consumed."""
+    live = dict(enumerate(rows))
     holders: list[set[int]] = [set() for _ in range(nc)]  # column -> rows with a nonzero
-    for i, row in sparse.items():
+    for i, row in live.items():
         for j in row:
             holders[j].add(i)
-    pivot_cols = set()
-    while True:
-        best = None
-        for i, row in sparse.items():
-            width = len(row) - 1
-            for j, x in row.items():
-                if x == 1 or x == -1:
-                    cost = width * (len(holders[j]) - 1)
-                    if best is None or cost < best[0]:
-                        best = (cost, i, j)
-        if best is None:
-            break
-        _, r, c = best
-        pivot_row = sparse.pop(r)
-        for j in pivot_row:
-            holders[j].discard(r)
+    # only the counts that occur get a set: a set for every possible count,
+    # made on each call, let peak RSS creep up over repeated calls
+    row_bucket: defaultdict[int, set[int]] = defaultdict(set)  # nonzero count -> live rows
+    col_bucket: defaultdict[int, set[int]] = defaultdict(set)  # nonzero count -> unpivoted columns
+    for i, row in live.items():
+        row_bucket[len(row)].add(i)
+    for j, rows_j in enumerate(holders):
+        col_bucket[len(rows_j)].add(j)
+    top = max(len(rows), nc)  # no row or column has more nonzeros
+    units = 0
+    while (pivot := _unit_pivot(live, holders, row_bucket, col_bucket, top)) is not None:
+        r, c = pivot
+        pivot_row = live.pop(r)
+        row_bucket[len(pivot_row)].discard(r)
+        targets = holders[c]
+        col_bucket[len(targets)].discard(c)
+        targets.discard(r)
         p = pivot_row.pop(c)
-        for i in holders[c]:
-            row = sparse[i]
+        counts = {}
+        for j in pivot_row:
+            rows_j = holders[j]
+            counts[j] = len(rows_j)
+            rows_j.discard(r)
+        for i in targets:
+            row = live[i]
+            row_bucket[len(row)].discard(i)
             f = row.pop(c) * p
             for j, x in pivot_row.items():
                 y = row.get(j, 0) - f * x
@@ -224,10 +251,48 @@ def smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
                 elif j in row:
                     del row[j]
                     holders[j].discard(i)
-        pivot_cols.add(c)
-    cols = [j for j in range(nc) if j not in pivot_cols]
-    rest = [[row.get(j, 0) for j in cols] for row in sparse.values()]
-    return (1,) * len(pivot_cols) + smith_normal_form(rest).diagonal
+            row_bucket[len(row)].add(i)
+        for j, before in counts.items():
+            after = len(holders[j])
+            if after != before:
+                col_bucket[before].discard(j)
+                col_bucket[after].add(j)
+        units += 1
+    cols = sorted(j for bucket in col_bucket.values() for j in bucket)
+    rest = [[row.get(j, 0) for j in cols] for row in live.values()]
+    return (1,) * units + smith_normal_form(rest).diagonal
+
+
+def _unit_pivot(live, holders, row_bucket, col_bucket, top) -> tuple[int, int] | None:
+    """(row, column) of a ±1 entry of least Markowitz cost, or None when
+    there is none; the bounded bucket search of ``smith_diagonal``."""
+    best = None
+    best_cost = top * top  # above every cost
+    for k in range(1, top + 1):
+        bound = (k - 1) * (k - 1)
+        if best_cost <= bound:
+            return best
+        width = k - 1
+        if rows_k := row_bucket.get(k):
+            for i in sorted(rows_k):
+                for j, x in live[i].items():
+                    if x == 1 or x == -1:
+                        cost = width * (len(holders[j]) - 1)
+                        if cost < best_cost or cost == best_cost and (i, j) < best:
+                            best, best_cost = (i, j), cost
+                if best_cost <= bound:
+                    return best
+        if cols_k := col_bucket.get(k):
+            for j in sorted(cols_k):
+                for i in holders[j]:
+                    x = live[i][j]
+                    if x == 1 or x == -1:
+                        cost = (len(live[i]) - 1) * width
+                        if cost < best_cost or cost == best_cost and (i, j) < best:
+                            best, best_cost = (i, j), cost
+                if best_cost <= bound:
+                    return best
+    return best
 
 
 def det_over_ring(rows: list[list]) -> object:

@@ -5,13 +5,21 @@ to stdout.  Exit code 0 means success, and 1 only ever means that ``verify``
 decided "not equal".  Every malformed input exits 2: a spec file that cannot
 be read or parsed, a bad option value, or a spec the command cannot handle.
 Only an internal fault ends in a traceback (also exit 1), never a verdict.
+
+JSON is written by ``json_text``, a small writer whose output is byte for
+byte ``json.dumps(payload, indent=2, sort_keys=True)``.  With ``indent`` set,
+CPython's ``json`` falls back to its pure-Python encoder, which took a third
+of ``verify``'s time on small covers.  ``json_text`` handles only the types
+a payload holds (dicts with str or int keys, lists, tuples, str, int, bool
+and None), recurses through one module-level function, and emits one piece
+per element, its separator, key and scalar joined.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -32,13 +40,81 @@ from .zeta import (
 
 SCHEMA = "galois-trees/1"
 
+_SCALARS = {True: "true", False: "false", None: "null"}
+
+
+def json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` for payloads of
+    dicts with str or int keys, lists, tuples, str, int, bool and None.
+
+    Any other type raises TypeError.
+
+    >>> print(json_text({"b": [1, None], "a": {10: True, 2: "é"}}))
+    {
+      "a": {
+        "2": "\\u00e9",
+        "10": true
+      },
+      "b": [
+        1,
+        null
+      ]
+    }
+    """
+    pieces: list[str] = []
+    _write_json(payload, pieces, "", "\n")
+    return "".join(pieces)
+
+
+def _write_json(value, pieces: list[str], lead: str, newline: str) -> None:
+    """Append ``lead`` and the JSON text of ``value`` to ``pieces``;
+    ``newline`` is a line break and the indentation of ``value``'s line.
+
+    A module-level function, not a closure, so a write makes no reference
+    cycle, and the pieces are freed as soon as they are joined.
+    """
+    if isinstance(value, str):
+        pieces.append(lead + encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        pieces.append(lead + _SCALARS[value])
+    elif isinstance(value, int):
+        pieces.append(lead + int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append(lead + "[]")
+            return
+        inner = newline + "  "
+        lead += "[" + inner
+        for item in value:
+            _write_json(item, pieces, lead, inner)
+            lead = "," + inner
+        pieces.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append(lead + "{}")
+            return
+        inner = newline + "  "
+        lead += "{" + inner
+        for key, item in sorted(value.items()):
+            if isinstance(key, str):
+                key = encode_basestring_ascii(key)
+            elif isinstance(key, int) and not isinstance(key, bool):
+                key = '"' + int.__repr__(key) + '"'
+            else:
+                raise TypeError(f"keys must be str or int, not {type(key).__name__}")
+            _write_json(item, pieces, lead + key + ": ", inner)
+            lead = "," + inner
+        pieces.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
 
 def _emit(payload: dict, fmt: str):
     payload = {"schema": SCHEMA, **payload}
     # explicit stream: click's cached default stdout never frees a CliRunner's
     out = click.get_text_stream("stdout")
     if fmt == "json":
-        click.echo(json.dumps(payload, indent=2, sort_keys=True), file=out)
+        click.echo(json_text(payload), file=out)
     else:
         for key, value in payload.items():
             click.echo(f"{key}: {value}", file=out)

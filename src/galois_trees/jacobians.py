@@ -2,10 +2,12 @@
 
 The Jacobian (critical) group of a connected graph is the torsion of the
 Laplacian cokernel; its order is the number of spanning trees.  Its
-invariant factors come from ``algebra.smith_diagonal``: the ±1 pivots of
-the sparse Laplacian are eliminated first, and the dense Smith form runs
-only on the small remainder, so a cover with hundreds of vertices costs
-milliseconds rather than the entry blow-up of a dense elimination.  The tree
+invariant factors come from the Smith form of ``algebra.smith_diagonal``,
+fed the Laplacian's sparse rows built straight from the edge list (no n x n
+table): the ±1 pivots are eliminated first, each found by a bounded
+Markowitz search, and the dense Smith form runs only on the small
+remainder, so a cover with hundreds of vertices costs milliseconds rather
+than the entry blow-up of a dense elimination.  The tree
 polynomial refines the count: one term per spanning tree, multiplying the
 variables of the edges *outside* the tree, hence homogeneous of degree equal
 to the genus.  A labeled variant maps edge variables through an arbitrary
@@ -27,6 +29,7 @@ from math import prod
 from typing import Mapping
 
 from .algebra import MultiPoly, int_det, smith_diagonal
+from .algebra.intmat import _sparse_smith_diagonal
 from .algebra.modular import PackedKeys
 from .covers import Cover
 from .graphs import Graph, build_graph, edge_lengths, is_connected, tree_sweep
@@ -34,18 +37,28 @@ from .graphs import Graph, build_graph, edge_lengths, is_connected, tree_sweep
 
 def laplacian(g: Graph) -> list[list[int]]:
     """Q - A; symmetric with zero row sums, loops contributing nothing net."""
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    n = len(idx)
+    n = len(g.vertices)
     lap = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        s, t = g.ends[e]
-        i, j = idx[s], idx[t]
-        if i != j:
-            lap[i][i] += 1
-            lap[j][j] += 1
-            lap[i][j] -= 1
-            lap[j][i] -= 1
+    for out, row in zip(lap, _laplacian_rows(g)):
+        for j, x in row.items():
+            out[j] = x
     return lap
+
+
+def _laplacian_rows(g: Graph) -> list[dict[int, int]]:
+    """The nonzero entries of ``laplacian(g)``, row by row as {column: entry},
+    from the edge list: no n x n table is built."""
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    rows: list[dict[int, int]] = [{} for _ in idx]
+    for s, t in g.ends.values():
+        if s != t:
+            i, j = idx[s], idx[t]
+            rows[i][j] = rows[i].get(j, 0) - 1
+            rows[j][i] = rows[j].get(i, 0) - 1
+    for i, row in enumerate(rows):
+        if row:
+            row[i] = -sum(row.values())
+    return rows
 
 
 def kirchhoff_count(g: Graph) -> int:
@@ -69,12 +82,14 @@ class JacobianGroup:
 def jacobian_group(g: Graph) -> JacobianGroup:
     """Critical group of a connected graph from the Smith form of its Laplacian.
 
-    The unit pivots are eliminated on sparse rows first; the dense Smith
-    form runs on the remainder (``algebra.smith_diagonal``).
+    The Laplacian is built as sparse rows from the edge list, never as an
+    n x n list, and goes to the sparse core of ``algebra.smith_diagonal``:
+    the unit pivots are eliminated there, and the dense Smith form runs on
+    the remainder.
     """
     if not is_connected(g):
         raise ValueError("the critical group requires a connected graph")
-    diag = smith_diagonal(laplacian(g))
+    diag = _sparse_smith_diagonal(_laplacian_rows(g), len(g.vertices))
     zeros = [d for d in diag if d == 0]
     if len(zeros) != 1:
         raise AssertionError("Laplacian of a connected graph has corank one")

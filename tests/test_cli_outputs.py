@@ -1,8 +1,10 @@
-"""Pinned CLI output: exit code and sha256 of the output on each bundled spec.
+"""Pinned CLI output: exit code and sha256 of the output on each bundled spec,
+and of ``build`` and ``jacobian --cover`` on two covers of benchmark size.
 
 A refactor that claims unchanged behaviour must leave every digest below as
 it is.  To re-record after a deliberate output change, run this file as a
-script from the repository root and paste the printed table into PINNED.
+script from the repository root and paste the printed tables into PINNED and
+PINNED_LARGE.
 """
 
 import hashlib
@@ -37,6 +39,42 @@ def command_lines(name: str) -> dict[str, list[str]]:
         "resolve": ["resolve", path],
         "verify": ["verify", path],
     }
+
+
+def _spec_doc(vertices, edges, n, dilation, voltage) -> dict:
+    return {
+        "vertices": vertices,
+        "edges": [{"id": e, "src": s, "tgt": t} for e, s, t in edges],
+        "group": {"cyclic": [n]},
+        "dilation": dilation,
+        "voltage": voltage,
+    }
+
+
+# the theta graph at Z/80 (voltages 0, 1, 3: a free cover with 160 vertices)
+# and the icosahedron quotient at Z/50 (both ends fully dilated: 102 vertices)
+LARGE_SPECS = {
+    "theta_z80": _spec_doc(
+        ["u", "w"], [("e", "u", "w"), ("f", "u", "w"), ("g", "u", "w")], 80,
+        {}, {"f": [1], "g": [3]},
+    ),
+    "icosahedron_z50": _spec_doc(
+        ["v1", "v2", "v3", "v4"],
+        [("e1", "v1", "v2"), ("e2", "v2", "v2"), ("e3", "v2", "v3"),
+         ("e4", "v2", "v3"), ("e5", "v3", "v3"), ("e6", "v3", "v4")],
+        50, {"v1": [[1]], "v4": [[1]]}, {"e2": [1], "e3": [1], "e5": [1]},
+    ),
+}
+
+
+def large_command_lines(path: str) -> dict[str, list[str]]:
+    return {"build": ["build", path], "jacobian --cover": ["jacobian", "--cover", path]}
+
+
+def run_large(name: str, workdir) -> dict[str, tuple[int, str]]:
+    path = workdir / f"{name}.json"
+    path.write_text(json.dumps(LARGE_SPECS[name]))
+    return {label: run_pinned(args) for label, args in large_command_lines(str(path)).items()}
 
 
 def run_pinned(args: list[str]) -> tuple[int, str]:
@@ -104,21 +142,46 @@ PINNED = {
 }
 
 
+PINNED_LARGE = {
+    'icosahedron_z50': {
+        'build': (0, '0268fb0571b973cbe76e03ab4ef6868594c983fec72a3db13b9f90d7275b3de9'),
+        'jacobian --cover': (0, 'd1b4cbdddd4aec27125eb993ab785310a0d2de0578ab0d94015c0c5d49a440a6'),
+    },
+    'theta_z80': {
+        'build': (0, '6c7d63e3e85c7f352425af7c8b58e11f1de44d112256b0a515455ed9d0d916bb'),
+        'jacobian --cover': (0, '060655d0f5c4a369bab29af0cca7cb3bfaaae49d3ca103c66326553e2ef473c6'),
+    },
+}
+
+
 @pytest.mark.parametrize("name", SPECS)
 def test_cli_output_is_pinned(name):
     got = {label: run_pinned(args) for label, args in command_lines(name).items()}
     assert got == PINNED[name]
 
 
-if __name__ == "__main__":
-    table = {
-        name: {label: run_pinned(args) for label, args in command_lines(name).items()}
-        for name in SPECS
-    }
-    print("PINNED = {")
+@pytest.mark.parametrize("name", sorted(LARGE_SPECS))
+def test_cli_output_at_benchmark_size_is_pinned(name, tmp_path):
+    assert run_large(name, tmp_path) == PINNED_LARGE[name]
+
+
+def _print_table(title: str, table: dict) -> None:
+    print(f"{title} = {{")
     for name, rows in table.items():
         print(f"    {name!r}: {{")
         for label, (code, digest) in rows.items():
             print(f"        {label!r}: ({code}, {digest!r}),")
         print("    },")
     print("}")
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    _print_table("PINNED", {
+        name: {label: run_pinned(args) for label, args in command_lines(name).items()}
+        for name in SPECS
+    })
+    with tempfile.TemporaryDirectory() as tmp:
+        _print_table("PINNED_LARGE", {name: run_large(name, Path(tmp)) for name in sorted(LARGE_SPECS)})

@@ -25,7 +25,8 @@ from galois_trees import (
     valency_adjacency,
     verify_main_theorem,
 )
-from galois_trees.algebra import intmat
+from galois_trees.algebra import intmat, smith_diagonal, smith_normal_form
+from galois_trees.algebra.modular import root_of_unity, split_prime
 from galois_trees.errors import ExactDivisionError
 from helpers import (
     dumbbell_graph,
@@ -203,6 +204,99 @@ def test_pushforward_on_a_large_cover_runs_dense_smith_on_the_remainder(monkeypa
     assert report.kernel_order * jacobian_group(cover.base).order == (
         jacobian_group(cover.total).order
     )
+
+
+def test_theta_cover_at_z400_matches_the_twisted_laplacians():
+    # a free Z/N cover of the theta graph (2 vertices, 3 edges, voltages
+    # 0, 1, 3): 2N·κ(cover) = 2·3 · ∏_{a≠0} det L_a, where the twisted
+    # Laplacian L_a = [[3, -t], [-t̄, 3]] has t = 1 + ω^a + ω^{3a}
+    n = 400
+    spec = CoverSpec(base=theta_graph(), group=AbelianGroup((n,)), voltage={"f": (1,), "g": (3,)})
+    order = jacobian_group(build_cover(spec).total).order
+    p = split_prime(n, 0)
+    w = root_of_unity(n, p)
+    product = 3 * pow(n, -1, p)
+    for a in range(1, n):
+        t = 1 + pow(w, a, p) + pow(w, 3 * a, p)
+        t_bar = 1 + pow(w, -a, p) + pow(w, -3 * a, p)
+        product = product * (9 - t * t_bar) % p
+    assert order % p == product
+
+
+def test_icosahedron_cover_at_z400_leaves_a_small_dense_remainder(monkeypatch):
+    sizes = []
+    dense = intmat.smith_normal_form
+
+    def recording(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return dense(rows, *args, **kwargs)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", recording)
+    cover = build_cover(icosahedron_spec(400))
+    assert len(cover.total.vertices) == 802
+    jacobian_group(cover.total)
+    assert len(sizes) == 1 and sizes[0] <= 20
+
+
+def _sparse_matrix_with_hubs(rng):
+    """A random sparse integer matrix whose ±1 entries are scarce, with one
+    or two hub columns that are nonzero in most rows."""
+    nr, nc = rng.randint(2, 12), rng.randint(2, 12)
+    hubs = rng.sample(range(nc), min(nc, rng.randint(1, 2)))
+    m = [[0] * nc for _ in range(nr)]
+    for row in m:
+        for j in rng.sample(range(nc), rng.randint(0, min(nc, 3))):
+            row[j] = rng.choice([-3, -2, -1, 1, 2, 2, 3, 4, 6])
+        for j in hubs:
+            if rng.random() < 0.8:
+                row[j] = rng.choice([-2, -1, 2, 3, 4, 6])
+    return m
+
+
+def test_smith_diagonal_matches_dense_on_sparse_matrices_with_hubs():
+    rng = random.Random(41)
+    units = 0
+    for _ in range(300):
+        m = _sparse_matrix_with_hubs(rng)
+        units += sum(abs(x) == 1 for row in m for x in row)
+        assert smith_diagonal(m) == smith_normal_form(m).diagonal
+    assert units
+
+
+def test_unit_pivot_has_least_markowitz_cost(monkeypatch):
+    search = intmat._unit_pivot
+    searches = []
+
+    def checked(live, holders, row_bucket, col_bucket, top):
+        for i, row in live.items():
+            assert i in row_bucket.get(len(row), ())
+        counts = {j: len(holders[j]) for bucket in col_bucket.values() for j in bucket}
+        for k, bucket in col_bucket.items():
+            assert all(counts[j] == k for j in bucket)
+        costs = [
+            (len(row) - 1) * (counts[j] - 1)
+            for row in live.values()
+            for j, x in row.items()
+            if x in (1, -1)
+        ]
+        pivot = search(live, holders, row_bucket, col_bucket, top)
+        if pivot is None:
+            assert not costs
+        else:
+            i, j = pivot
+            assert live[i][j] in (1, -1)
+            assert (len(live[i]) - 1) * (counts[j] - 1) == min(costs)
+        searches.append(pivot)
+        return pivot
+
+    monkeypatch.setattr(intmat, "_unit_pivot", checked)
+    rng = random.Random(42)
+    for _ in range(60):
+        m = _sparse_matrix_with_hubs(rng)
+        assert smith_diagonal(m) == smith_normal_form(m).diagonal
+    cover = build_cover(icosahedron_spec(60))
+    assert jacobian_group(cover.total).order == kirchhoff_count(cover.total)
+    assert len(searches) > 300 and None in searches
 
 
 def test_kirchhoff_identities_random():
