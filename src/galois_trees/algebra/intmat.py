@@ -2,7 +2,8 @@
 
 Everything here uses arbitrary-precision Python integers; cofactors of
 Laplacians overflow 64 bits already at modest sizes, so no numpy.
-``det_over_ring`` works modulo primes (``modular``) and lifts by CRT.
+``det_over_ring`` works modulo primes (``modular``) and lifts by CRT: by a
+Hessenberg reduction for I - diag(s^l) B, by interpolation otherwise.
 """
 
 from __future__ import annotations
@@ -11,10 +12,12 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import isqrt, lcm, prod
 
 from .cyclotomic import CycInt, euler_phi
 from .modular import (
+    charpoly_mod,
     det_mod,
     evaluate_mod,
     galois_exponents,
@@ -309,10 +312,13 @@ def det_over_ring(rows: list[list]) -> object:
     denominators, and the integer determinant divided by their product at
     the end.  For primes p ≡ 1 (mod m) below 2^62 and each k prime to m,
     zeta -> omega^k (omega a primitive m-th root of unity mod p) maps the
-    matrix to F_p[s]; its determinant is taken by Gaussian elimination at
-    s = 0..d and interpolated, and one inverted Vandermonde in the omega^k
-    recovers the power-basis coefficients mod p.  Primes are combined by
-    CRT with symmetric lift until their product exceeds 2B.
+    matrix to F_p[s].  A matrix I - diag(s^l_i) B with B scalar, such as a
+    zeta edge matrix, has as determinant the reversed characteristic
+    polynomial of an N x N unit-step matrix, N = sum l_i, from one Hessenberg
+    reduction when N^3 <= (N + 1) n^3; otherwise Gaussian elimination at
+    s = 0..d and interpolation give it.  One inverted Vandermonde in the
+    omega^k recovers the power-basis coefficients mod p.  Primes are combined
+    by CRT with symmetric lift until their product exceeds 2B.
 
     The degree in s is at most d = min(sum of row max degrees, sum of column
     max degrees).  The bound B = c_m * min(prod of row l1, prod of column
@@ -407,6 +413,8 @@ def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:
     if min(row_degrees) < 0 or min(col_degrees) < 0:
         return []  # a zero row or column
     d = min(sum(row_degrees), sum(col_degrees))
+    if (lengths := _unit_step_lengths(entries)) and sum(lengths) ** 3 > (sum(lengths) + 1) * n ** 3:
+        lengths = None  # the unit-step matrix would cost more than d + 1 eliminations
     bound = 2 * _det_bound(entries, m)
     phi = euler_phi(m)
     modulus, acc, used = 1, [0] * ((d + 1) * phi), 0
@@ -417,7 +425,8 @@ def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:
         images = []
         for k in galois_exponents(m):
             terms = _images(entries, p, pow(root_of_unity(m, p), k, p))
-            images.append(_interpolate([det_mod(_at(terms, n, t, p), p) for t in range(d + 1)], p))
+            images.append(_unit_step_charpoly(terms, lengths, p)[:d + 1] if lengths else
+                          _interpolate([det_mod(_at(terms, n, t, p), p) for t in range(d + 1)], p))
         solver = power_basis_solver(m, p)
         residues = [sum(a * b for a, b in zip(w, by_k)) % p
                     for by_k in zip(*images) for w in solver]
@@ -431,6 +440,36 @@ def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:
     while coords and not any(coords[-1]):
         coords.pop()
     return coords
+
+
+def _unit_step_lengths(entries) -> list[int] | None:
+    """[l_i] when the matrix is I - diag(s^l_i) B with B scalar, else None:
+    the constant part is the identity, and every other term of row i is one
+    monomial of degree l_i >= 1 (l_i = 0 for a zero row of B)."""
+    lengths = []
+    for i, r in enumerate(entries):
+        degrees = {len(x) - 1 for x in r if len(x) > 1}
+        if len(degrees) > 1 or any((x[0] if x else 0) != (i == j) or any(x[1:-1])
+                                   for j, x in enumerate(r)):
+            return None
+        lengths.append(max(degrees, default=0))
+    return lengths
+
+
+def _unit_step_charpoly(terms, lengths: list[int], p: int) -> list[int]:
+    """det(I - diag(s^l_i) B) mod p, ascending, as det(I - sT) (Hashimoto,
+    Adv. Stud. Pure Math. 15, 1989): row i of B becomes a chain of l_i unit
+    steps in T, and the last carries row i of B.  A zero row of B has no
+    step; row i is e_i, and only the minor without row and column i counts.
+    T is built transposed, with its chains on the subdiagonal."""
+    first = [0, *accumulate(lengths)]
+    t = [[0] * first[-1] for _ in range(first[-1])]
+    for a in set(range(1, first[-1])).difference(first):  # every state but a chain's first
+        t[a][a - 1] = 1
+    for i, j, coeffs in terms:
+        if len(coeffs) > 1 and lengths[j]:
+            t[first[j]][first[i + 1] - 1] = -coeffs[-1] % p
+    return charpoly_mod(t, p)[::-1]
 
 
 def _check_extra_prime(entries, m: int, coords, p: int, point: int) -> None:

@@ -214,6 +214,47 @@ def det_mod(rows: list[list[int]], p: int) -> int:
     return det % p
 
 
+def charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
+    """det(tI - A) over F_p, ascending coefficients; rows must be reduced mod p.
+
+    The rows are overwritten.  Eliminating below the subdiagonal, each row
+    operation followed by the inverse column operation, takes A to a similar
+    upper Hessenberg H, and det(tI - H) is expanded along its last column,
+    one leading minor after another (Cohen, GTM 138, Alg. 2.2.9): O(n^3).
+
+    >>> charpoly_mod([[2, 1], [1, 2]], 7), charpoly_mod([[0, 0, 1], [1, 0, 0], [0, 1, 0]], 7)
+    ([3, 3, 1], [6, 0, 0, 1])
+    """
+    n = len(rows)
+    for k in range(n - 2):
+        pivot = next((i for i in range(k + 1, n) if rows[i][k]), None)
+        if pivot is None:
+            continue
+        if pivot != k + 1:
+            rows[k + 1], rows[pivot] = rows[pivot], rows[k + 1]
+            for row in rows:
+                row[k + 1], row[pivot] = row[pivot], row[k + 1]
+        inv = pow(rows[k + 1][k], -1, p)
+        tail = [(j, x) for j in range(k, n) if (x := rows[k + 1][j])]
+        factors = [(i, rows[i][k] * inv % p) for i in range(k + 2, n) if rows[i][k]]
+        for i, u in factors:  # row i loses u times row k + 1 ...
+            row = rows[i]
+            for j, x in tail:
+                row[j] = (row[j] - u * x) % p
+        for row in rows:  # ... and column k + 1 gains u times column i
+            row[k + 1] = (row[k + 1] + sum(u * row[i] for i, u in factors)) % p
+    minors = [[1]]  # det(tI - H) of the leading m x m block, for m = 0..n
+    for m in range(n):
+        out, chain = [0] + minors[m], 1
+        for i in range(m, -1, -1):  # chain = H[m][m-1] H[m-1][m-2] ... H[i+1][i]
+            if f := rows[i][m] * chain % p:
+                for j, x in enumerate(minors[i]):
+                    out[j] -= f * x
+            chain = chain * rows[i][i - 1] % p
+        minors.append([x % p for x in out])
+    return minors[n]
+
+
 def split_modulus(m: int, bound: int) -> tuple[int, int, int]:
     """(M, omega, count): M is the product of split_prime(m, 0..count-1), the
     fewest (one at least) that make M > 2 * bound, and omega is

@@ -82,17 +82,13 @@ class JacobianGroup:
 def jacobian_group(g: Graph) -> JacobianGroup:
     """Critical group of a connected graph from the Smith form of its Laplacian.
 
-    The Laplacian is built as sparse rows from the edge list, never as an
-    n x n list, and goes to the sparse core of ``algebra.smith_diagonal``:
-    the unit pivots are eliminated there, and the dense Smith form runs on
-    the remainder.
+    The Laplacian is built as sparse rows from the edge list and goes to the
+    sparse core of ``algebra.smith_diagonal``.  Its corank is the number of
+    components, so the zero count of the diagonal checks connectivity.
     """
-    if not is_connected(g):
-        raise ValueError("the critical group requires a connected graph")
     diag = _sparse_smith_diagonal(_laplacian_rows(g), len(g.vertices))
-    zeros = [d for d in diag if d == 0]
-    if len(zeros) != 1:
-        raise AssertionError("Laplacian of a connected graph has corank one")
+    if diag.count(0) != 1:
+        raise ValueError("the critical group requires a connected graph")
     factors = tuple(d for d in diag if d > 1)
     return JacobianGroup(factors, prod(factors) if factors else 1)
 

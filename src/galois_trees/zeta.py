@@ -13,11 +13,14 @@ and replaces A by A_rho; that is defined for covers with no dilation
 case: one matrix builder serves both, with the value 1 in place of rho.
 
 Every determinant is one ``det_over_ring`` call on a matrix over
-Z[zeta_m][s], which evaluates it modulo primes p ≡ 1 (mod m), at the
-points s = 0..d and under every embedding zeta -> omega^k, and lifts the
-interpolated coefficients by CRT.  An L reciprocal at rho^k is
-sigma_k of the one at rho, because the matrices are.  Edge lengths follow
-``graphs.edge_lengths``: positive ints, bools refused.
+Z[zeta_m][s], taken modulo primes p ≡ 1 (mod m) under every embedding
+zeta -> omega^k and lifted by CRT.  I - W is I - diag(s^length) B: one
+Hessenberg reduction of the N x N unit-step edge matrix, N the total
+length, unless N^3 > (N + 1) n^3 with n = 2|E|; then, as for the
+three-term matrix, elimination at s = 0..d and interpolation.  An L
+reciprocal at rho^k is sigma_k of the one at rho, because the matrices
+are.  Edge lengths follow ``graphs.edge_lengths``: positive ints, bools
+refused.
 """
 
 from __future__ import annotations
@@ -57,11 +60,11 @@ def _metric(g: Graph, lengths: Mapping[str, int] | None, value) -> UniPoly:
     index = {a: i for i, a in enumerate(followers)}
     rows = []
     for a, after in followers.items():
-        w = UniPoly.monomial(lengths[a[0]], value(a))
+        minus_w = UniPoly.monomial(lengths[a[0]], -value(a))
         row = [UniPoly()] * len(index)
-        row[index[a]] = UniPoly.const(1)
         for b in after:
-            row[index[b]] = row[index[b]] - w
+            row[index[b]] = minus_w
+        row[index[a]] = row[index[a]] + 1
         rows.append(row)
     det = det_over_ring(rows)
     # an edgeless graph gives the 0x0 matrix, whose determinant is the int 1

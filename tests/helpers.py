@@ -171,3 +171,12 @@ def random_cover_spec(
             continue
         return spec, cover
     raise RuntimeError("no suitable random cover found within the retry budget")
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap module.name so that every call appends its last argument (the
+    prime, for the modular kernels) to the returned list."""
+    calls = []
+    original = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: (calls.append(args[-1]), original(*args))[1])
+    return calls

@@ -25,7 +25,9 @@ from galois_trees import (
 )
 from galois_trees.algebra import intmat
 from galois_trees.algebra.division import exact_quotient
+from galois_trees.algebra.modular import charpoly_mod, det_mod, evaluate_mod, split_prime
 from galois_trees.errors import ExactDivisionError
+from helpers import count_calls
 
 
 def test_cyclotomic_polynomials():
@@ -625,6 +627,114 @@ def test_det_bound_covers_integer_determinants():
         l1 = [[sum(map(abs, x)) for x in r] for r in entries]
         tighter += bound < min(prod(map(sum, l1)), prod(map(sum, zip(*l1))))
     assert tighter > 20
+
+
+def _mul_mod_p(a, b, p):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def _checked_charpoly(a, p):
+    """charpoly_mod(a), after checking it against det_mod(tI - A) at t = 0..n."""
+    n = len(a)
+    got = charpoly_mod([row[:] for row in a], p)
+    assert len(got) == n + 1 and got[-1] == 1
+    for t in range(n + 1):
+        shifted = [[((t if i == j else 0) - x) % p for j, x in enumerate(row)]
+                   for i, row in enumerate(a)]
+        assert evaluate_mod(got, t, p) == det_mod(shifted, p)
+    return got
+
+
+def test_charpoly_mod_matches_det_mod_at_n_plus_one_points():
+    rng = random.Random(41)
+    for p in (97, split_prime(1, 0)):
+        for n in range(13):
+            for density in (0.25, 1.0):
+                _checked_charpoly([[rng.randrange(p) if rng.random() < density else 0
+                                    for _ in range(n)] for _ in range(n)], p)
+
+
+def test_charpoly_mod_structured_matrices():
+    p = 101
+    # column 0 is zero on the subdiagonal and nonzero below it: a swap, and A^2 = 0
+    assert _checked_charpoly([[0, 0, 0], [0, 0, 0], [1, 0, 0]], p) == [0, 0, 0, 1]
+    nilpotent = [[0, 3, 5, 7], [0, 0, 2, 9], [0, 0, 0, 4], [0, 0, 0, 0]]
+    order = [2, 0, 3, 1]  # the same matrix conjugated by a permutation
+    shuffled = [[nilpotent[i][j] for j in order] for i in order]
+    assert _checked_charpoly(shuffled, p) == [0, 0, 0, 0, 1]
+    rng = random.Random(42)
+    top = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+    bottom = [[rng.randrange(p) for _ in range(4)] for _ in range(4)]
+    block = [r + [rng.randrange(p) for _ in range(4)] for r in top] + [[0] * 3 + r for r in bottom]
+    expected = _mul_mod_p(charpoly_mod([r[:] for r in top], p),
+                          charpoly_mod([r[:] for r in bottom], p), p)
+    assert _checked_charpoly(block, p) == expected
+    cycles = [[0, 3, 5], [1], [2, 6], [4]]  # a permutation matrix: prod (t^len - 1)
+    perm = [[0] * 7 for _ in range(7)]
+    expected = [1]
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            perm[a][b] = 1
+        expected = _mul_mod_p(expected, [p - 1] + [0] * (len(cycle) - 1) + [1], p)
+    assert _checked_charpoly(perm, p) == expected
+    assert charpoly_mod([], p) == [1]
+
+
+def _unit_step_matrix(rng, m, n):
+    """I - diag(s^l_i) B over Z[zeta_m] with l_i in 1..3: B has a diagonal
+    term in row 0, and row 1 of B (when there is one) is zero."""
+    lengths = [rng.randint(1, 3) for _ in range(n)]
+    rows = []
+    for i in range(n):
+        row = [UniPoly() for _ in range(n)]
+        for j in range(n):
+            if i != 1 and (i == j == 0 or rng.random() < 0.5):
+                b = CycInt(m, [rng.randint(-2, 2) for _ in range(euler_phi(m))])
+                row[j] = UniPoly.monomial(lengths[i], -b)
+        row[i] = row[i] + 1
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("m", (1, 3, 4, 5, 8, 12))
+def test_unit_step_route_matches_interpolation(m, monkeypatch):
+    rng = random.Random(4000 + m)
+    calls = count_calls(monkeypatch, intmat, "charpoly_mod")
+    matrices, fast = [], []
+    for n in (1, 2, 3, 5, 9, 10):
+        matrices.append(_unit_step_matrix(rng, m, n))
+        calls.clear()
+        fast.append(det_over_ring(matrices[-1]))
+        # N = sum l_i <= 3n, and N^3 <= (N + 1) n^3 holds for every N <= 3n once n >= 9
+        assert calls or n < 9
+    monkeypatch.setattr(intmat, "_unit_step_lengths", lambda entries: None)
+    calls.clear()
+    for rows, got in zip(matrices, fast):
+        slow = det_over_ring(rows)
+        assert got == slow and type(got) is type(slow)
+        assert [type(c) for c in got.coeffs] == [type(c) for c in slow.coeffs]
+    assert not calls
+
+
+def test_other_matrices_keep_interpolation(monkeypatch):
+    s = UniPoly.monomial(1)
+    one = UniPoly.const(1)
+    calls = count_calls(monkeypatch, intmat, "charpoly_mod")
+    assert det_over_ring([[1 - 2 * s, -s], [-3 * s, 1 + s]]) == 1 - s - 5 * s**2
+    assert calls == [split_prime(1, 0)]  # the control: one prime, one embedding
+    calls.clear()
+    for rows in (
+        [[2 - s, -s], [-s, 1 - s]],  # a constant diagonal entry other than 1
+        [[1 - s, -s**2], [-s, 1 - s]],  # two degrees in one row
+        [[1 - s, UniPoly.const(1)], [-s, 1 - s]],  # a constant off the diagonal
+        [[1 - s**2 + s, -s**2], [-s, 1 - s]],  # a term below the row's degree
+    ):
+        assert det_over_ring(rows) == _leibniz(rows, one)
+    assert not calls
 
 
 def test_multipoly_division_with_cyclotomic_coefficients():

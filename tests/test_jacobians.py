@@ -59,6 +59,20 @@ def test_jacobian_group_examples():
     assert jacobian_group(cover.total).order == 5_184_000
 
 
+def test_jacobian_group_refuses_a_disconnected_graph_by_its_zero_count():
+    disconnected = (
+        build_graph(["u", "v"], []),
+        build_graph(["u", "v"], [("e", "u", "u")]),
+        build_graph(["a", "b", "c", "d"], [("e", "a", "b"), ("f", "c", "d"), ("g", "c", "d")]),
+    )
+    for g in disconnected:
+        with pytest.raises(ValueError, match="requires a connected graph"):
+            jacobian_group(g)
+    for edges in ([], [("e", "v", "v")]):
+        one_vertex = jacobian_group(build_graph(["v"], edges))
+        assert one_vertex.invariant_factors == () and one_vertex.order == 1
+
+
 def test_jacobian_polynomial_examples():
     x, y, z = (MultiPoly.variable(v) for v in ("e", "f", "g"))
     assert jacobian_polynomial(theta_graph()) == x * y + x * z + y * z

@@ -10,6 +10,7 @@ from galois_trees import (
     CycInt,
     UniPoly,
     artin_l_reciprocal_three_term,
+    build_cover,
     build_graph,
     characters,
     closed_path_census,
@@ -26,6 +27,7 @@ from galois_trees import (
     zeta_leading_at_one,
 )
 from helpers import (
+    count_calls,
     dumbbell_graph,
     dumbbell_z6_spec,
     icosahedron_spec,
@@ -399,6 +401,38 @@ def test_metric_zeta_of_a_32_edge_matrix_takes_one_prime(monkeypatch):
     assert len(cover.total.edges) == 16 and got == expected
     # the Hadamard bound fits one prime for the CRT; index 1 is the extra check
     assert indices == [0, 1]
+
+
+def test_edge_matrix_determinant_is_one_charpoly_per_prime(monkeypatch):
+    from galois_trees.algebra import intmat
+
+    spec = CoverSpec(
+        base=theta_graph(), group=AbelianGroup((16,)), voltage={"f": (1,), "g": (3,)}
+    )
+    total = build_cover(spec).total
+    charpolys = count_calls(monkeypatch, intmat, "charpoly_mod")
+    dets = count_calls(monkeypatch, intmat, "det_mod")
+    zeta = metric_zeta_reciprocal(total)
+    # 96 x 96 at unit lengths: two primes and one embedding, then the check
+    assert charpolys == [intmat.split_prime(1, 0), intmat.split_prime(1, 1)]
+    assert dets == [intmat.split_prime(1, 2)]
+    product = UniPoly.const(1)
+    for rho in characters(spec.group):
+        product = product * metric_l_reciprocal(spec, rho)
+    assert product == zeta and zeta.degree == 96
+
+
+def test_long_lengths_keep_interpolation(monkeypatch):
+    from galois_trees.algebra import intmat
+
+    lengths = {"e": 50, "f": 51, "g": 1}
+    charpolys = count_calls(monkeypatch, intmat, "charpoly_mod")
+    got = metric_zeta_reciprocal(theta_graph(), lengths)
+    # N = 204 unit steps for a 6 x 6 matrix: 204^3 > 205 * 6^3
+    assert not charpolys
+    # the subdivided graph at unit lengths is 204 x 204 and takes the unit-step route
+    assert got == metric_zeta_reciprocal(subdivide(theta_graph(), lengths))
+    assert charpolys
 
 
 def test_l_functions_reject_a_character_of_another_group():
