@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from math import isqrt, lcm, prod
+from math import isqrt, prod
 
 from .cyclotomic import CycInt, euler_phi
 from .modular import (
@@ -299,18 +298,15 @@ def _unit_pivot(live, holders, row_bucket, col_bucket, top) -> tuple[int, int] |
 
 
 def det_over_ring(rows: list[list]) -> object:
-    """Exact determinant of a square matrix over Z[zeta_m][s], or Q[s].
+    """Exact determinant of a square matrix over Z[zeta_m][s].
 
-    Entries are ints, Fractions, CycInts of one conductor m, or UniPolys in s
-    with such coefficients; Fractions and CycInts do not mix, and any other
-    entry (a MultiPoly, say) raises TypeError.  The result is a UniPoly when
-    some entry is one, else a scalar; its coefficients are CycInts when some
-    entry carries a CycInt, else Fractions when some entry carries a
-    Fraction, else ints.  The empty matrix has determinant 1.
+    Entries are ints, CycInts of one conductor m, or UniPolys in s with such
+    coefficients; any other entry (a Fraction or a MultiPoly, say) raises
+    TypeError.  The result is a UniPoly when some entry is one, else a
+    scalar; its coefficients are CycInts when some entry carries a CycInt,
+    else ints.  The empty matrix has determinant 1.
 
-    Multimodular: a Fraction row is first scaled by the lcm of its
-    denominators, and the integer determinant divided by their product at
-    the end.  For primes p ≡ 1 (mod m) below 2^62 and each k prime to m,
+    Multimodular: for primes p ≡ 1 (mod m) below 2^62 and each k prime to m,
     zeta -> omega^k (omega a primitive m-th root of unity mod p) maps the
     matrix to F_p[s].  A matrix I - diag(s^l_i) B with B scalar, such as a
     zeta edge matrix, has as determinant the reversed characteristic
@@ -339,31 +335,29 @@ def det_over_ring(rows: list[list]) -> object:
         return 1
     if any(len(r) != n for r in rows):
         raise ValueError("matrix is not square")
-    entries = [[x.coeffs if isinstance(x, UniPoly) else (x,) for x in r] for r in rows]
-    scalars = [c for r in entries for x in r for c in x]
-    if any(not isinstance(c, (int, Fraction, CycInt)) for c in scalars):
-        raise TypeError("entries must be ints, Fractions, CycInts or UniPolys of them")
-    conductors = {c.conductor for c in scalars if isinstance(c, CycInt)}
-    has_fraction = any(isinstance(c, Fraction) for c in scalars)
+    # s-coefficients of every entry, () for a zero entry
+    entries, conductors, is_poly = [], set(), False
+    for r in rows:
+        row = []
+        for x in r:
+            if isinstance(x, UniPoly):
+                is_poly = True
+                x = x.coeffs
+            else:
+                x = (x,)
+            for c in x:
+                if isinstance(c, CycInt):
+                    conductors.add(c.conductor)
+                elif not isinstance(c, int):
+                    raise TypeError("entries must be ints, CycInts or UniPolys of them")
+            row.append(x if any(x) else ())
+        entries.append(row)
     if len(conductors) > 1:
         raise ValueError(f"CycInt entries of conductors {sorted(conductors)}")
-    if conductors and has_fraction:
-        raise TypeError("Fraction and CycInt entries do not mix")
     m = min(conductors, default=1)
-    is_poly = any(isinstance(x, UniPoly) for r in rows for x in r)
-
-    # s-coefficients of every entry as ints or CycInts, Fraction rows scaled
-    scales = []
-    for r in entries:
-        scale = lcm(*(c.denominator for x in r for c in x if isinstance(c, Fraction)))
-        scales.append(scale)
-        r[:] = [[c if isinstance(c, CycInt) else int(c * scale) for c in x] if any(x) else []
-                for x in r]
 
     def to_scalar(coords):
-        if conductors:
-            return CycInt(m, coords)
-        return Fraction(coords[0], prod(scales)) if has_fraction else coords[0]
+        return CycInt(m, coords) if conductors else coords[0]
 
     coords = _det_coordinates(entries, m)
     if not coords:

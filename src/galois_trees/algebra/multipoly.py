@@ -40,6 +40,18 @@ def _mono_div(a: Monomial, b: Monomial) -> Monomial | None:
     return tuple(sorted(exps.items()))
 
 
+def _coeff_quotient(a, c):
+    """a / c for int or CycInt coefficients; ExactDivisionError unless c divides a."""
+    if isinstance(a, int) and isinstance(c, int):
+        q, r = divmod(a, c)
+        if r:
+            raise ExactDivisionError(f"{a} is not divisible by {c}", remainder=r)
+        return q
+    if isinstance(a, int):
+        a = CycInt.from_int(c.conductor, a)
+    return a.exact_div(c)
+
+
 class MultiPoly:
     __slots__ = ("terms",)
 
@@ -205,11 +217,11 @@ class MultiPoly:
     def exact_divide(self, den) -> MultiPoly:
         """Exact polynomial division; raises ExactDivisionError with the remainder.
 
-        A constant divides coefficient by coefficient, and its remainder is
-        the terms whose coefficients it does not divide.
+        The tests' division oracle (deletion-contraction, and the RHS's
+        division by N); no verification path divides a polynomial.  A
+        constant divides coefficient by coefficient, and its remainder is the
+        terms whose coefficients it does not divide.
         """
-        from .division import exact_quotient  # division dispatches back to this class
-
         den = self._coerce(den)
         if den is None:
             raise TypeError("divisor must be a polynomial or scalar")
@@ -220,7 +232,7 @@ class MultiPoly:
             quot, rem = {}, {}
             for mono, a in self.terms.items():
                 try:
-                    quot[mono] = exact_quotient(a, c)
+                    quot[mono] = _coeff_quotient(a, c)
                 except ExactDivisionError:
                     rem[mono] = a
             if rem:
@@ -247,7 +259,7 @@ class MultiPoly:
                     remainder=MultiPoly(rem),
                 )
             try:
-                qc = exact_quotient(rem[lead], den_lead_coeff)
+                qc = _coeff_quotient(rem[lead], den_lead_coeff)
             except ExactDivisionError as exc:
                 raise ExactDivisionError(
                     f"division leaves remainder {MultiPoly(rem)}",

@@ -10,9 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from ..errors import ExactDivisionError
 from .cyclotomic import CycInt, jsonable_coefficient, ring_power
-from .division import exact_quotient
 
 
 def _zero(c) -> bool:
@@ -147,35 +145,6 @@ class UniPoly:
             if not _zero(c):
                 return k, c
         raise ValueError("zero polynomial has no vanishing order")
-
-    def exact_div(self, other) -> UniPoly:
-        other = self._coerce(other)
-        if other is None:
-            raise TypeError("divisor must be a polynomial or scalar")
-        if not other:
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dd = other.degree
-        lead = other.coeffs[-1]
-        if len(rem) - 1 < dd:
-            if any(not _zero(c) for c in rem):
-                raise ExactDivisionError(
-                    "polynomial division is not exact", remainder=UniPoly(rem)
-                )
-            return UniPoly()
-        quot = [0] * (len(rem) - dd)
-        for i in reversed(range(len(quot))):
-            c = rem[i + dd]
-            if not _zero(c):
-                q = exact_quotient(c, lead)
-                quot[i] = q
-                for j, p in enumerate(other.coeffs):
-                    rem[i + j] = rem[i + j] - q * p
-        if any(not _zero(c) for c in rem):
-            raise ExactDivisionError(
-                "polynomial division is not exact", remainder=UniPoly(rem)
-            )
-        return UniPoly(quot)
 
     def to_jsonable(self) -> list:
         return [jsonable_coefficient(c) for c in self.coeffs]

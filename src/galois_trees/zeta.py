@@ -6,11 +6,14 @@ next: those leaving its head, except its own reversal.  The two-term form
 det(I - W) stamps row e of W from it, with s^(length of e) at every
 follower f, and the closed-path census walks the same table.  The
 three-term form at unit lengths is
-(1 - s^2)^(genus - 1) * det(I - s*A + s^2*(Q - I)).  Twisting by a character
-multiplies row e of W by the character value of e's voltage, read along e,
-and replaces A by A_rho; that is defined for covers with no dilation
-(honest coverings) only.  Each zeta reciprocal is the trivial character's
-case: one matrix builder serves both, with the value 1 in place of rho.
+(1 - s^2)^(genus - 1) * det(I - s*A + s^2*(Q - I)).  On a tree (genus 0)
+nothing is divided: the determinant is checked to equal 1 - s^2, and a
+mismatch raises AssertionError; the reciprocal is 1.  Twisting by a
+character multiplies row e of W by the character value of e's voltage,
+read along e, and replaces A by A_rho; that is defined for covers with no
+dilation (honest coverings) only.  Each zeta reciprocal is the trivial
+character's case: one matrix builder serves both, with the value 1 in
+place of rho.
 
 Every determinant is one ``det_over_ring`` call on a matrix over
 Z[zeta_m][s], taken modulo primes p ≡ 1 (mod m) under every embedding
@@ -88,7 +91,11 @@ def _three_term(g: Graph, adjacency) -> UniPoly:
     gg = genus(g)
     if gg >= 1:
         return det * one_minus_s2 ** (gg - 1)
-    return det.exact_div(one_minus_s2 ** (1 - gg))
+    # a tree: no closed reduced walks, and A_rho is A conjugated by a diagonal
+    # of roots of unity, so the determinant is 1 - s^2 and the reciprocal 1
+    if det != one_minus_s2:
+        raise AssertionError(f"the determinant on a tree is {det}, not 1 - s^2")
+    return UniPoly.const(det.coeffs[0])
 
 
 def ihara_zeta_reciprocal(g: Graph) -> UniPoly:

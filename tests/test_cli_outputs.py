@@ -1,10 +1,11 @@
 """Pinned CLI output: exit code and sha256 of the output on each bundled spec,
-and of ``build`` and ``jacobian --cover`` on two covers of benchmark size.
+of ``build`` and ``jacobian --cover`` on two covers of benchmark size, and of
+``zeta`` and ``lfunction`` on a tree base.
 
 A refactor that claims unchanged behaviour must leave every digest below as
 it is.  To re-record after a deliberate output change, run this file as a
-script from the repository root and paste the printed tables into PINNED and
-PINNED_LARGE.
+script from the repository root and paste the printed tables into PINNED,
+PINNED_LARGE and PINNED_TREE.
 """
 
 import hashlib
@@ -75,6 +76,20 @@ def run_large(name: str, workdir) -> dict[str, tuple[int, str]]:
     path = workdir / f"{name}.json"
     path.write_text(json.dumps(LARGE_SPECS[name]))
     return {label: run_pinned(args) for label, args in large_command_lines(str(path)).items()}
+
+
+# a path of three vertices over Z/3, voltage 1 on one edge: a genus-0 base,
+# where the three-term reciprocals take their tree branch
+TREE_SPEC = _spec_doc(["a", "b", "c"], [("e", "a", "b"), ("f", "b", "c")], 3, {}, {"e": [1]})
+
+
+def run_tree(workdir) -> dict[str, tuple[int, str]]:
+    path = workdir / "path_z3.json"
+    path.write_text(json.dumps(TREE_SPEC))
+    return {
+        "zeta": run_pinned(["zeta", str(path)]),
+        "lfunction --character 1": run_pinned(["lfunction", "--character", "1", str(path)]),
+    }
 
 
 def run_pinned(args: list[str]) -> tuple[int, str]:
@@ -154,6 +169,12 @@ PINNED_LARGE = {
 }
 
 
+PINNED_TREE = {
+    'zeta': (0, '755ace7aa659def06f1a4dd522a6f5e41ad900984462265bda943845a2ff1b13'),
+    'lfunction --character 1': (0, '51c3d0a60e82716e51b259a2d7e24830a749f65d044ca0511f50de9ff4af17b2'),
+}
+
+
 @pytest.mark.parametrize("name", SPECS)
 def test_cli_output_is_pinned(name):
     got = {label: run_pinned(args) for label, args in command_lines(name).items()}
@@ -163,6 +184,10 @@ def test_cli_output_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(LARGE_SPECS))
 def test_cli_output_at_benchmark_size_is_pinned(name, tmp_path):
     assert run_large(name, tmp_path) == PINNED_LARGE[name]
+
+
+def test_cli_output_on_a_tree_base_is_pinned(tmp_path):
+    assert run_tree(tmp_path) == PINNED_TREE
 
 
 def _print_table(title: str, table: dict) -> None:
@@ -185,3 +210,7 @@ if __name__ == "__main__":
     })
     with tempfile.TemporaryDirectory() as tmp:
         _print_table("PINNED_LARGE", {name: run_large(name, Path(tmp)) for name in sorted(LARGE_SPECS)})
+        print("PINNED_TREE = {")
+        for label, (code, digest) in run_tree(Path(tmp)).items():
+            print(f"    {label!r}: ({code}, {digest!r}),")
+        print("}")

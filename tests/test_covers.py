@@ -199,6 +199,21 @@ def test_contracted_covers_stay_balanced():
     assert sorted(merged.local_degrees.values()) == [6]
 
 
+def test_free_resolution_keeps_the_cover_random():
+    rng = random.Random(11)
+    drawn = 0
+    while drawn < 40:
+        spec, original = random_cover_spec(rng, max_vertices=4, max_edges=6, tree_cap=20_000)
+        if spec.is_free():
+            continue
+        drawn += 1
+        resolved, added = free_resolution(spec)
+        back = contract_cover(build_cover(resolved), added)
+        assert jacobian_group(back.total) == jacobian_group(original.total)
+        assert sorted(back.local_degrees.values()) == sorted(original.local_degrees.values())
+        assert verify_main_theorem(resolved).equal
+
+
 def test_contract_cover_nothing():
     cover = build_cover(dumbbell_z6_spec())
     same = contract_cover(cover, [])

@@ -19,3 +19,16 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_package_has_no_function_level_imports():
+    """Every import sits at module level, where the import graph shows it."""
+    found = sorted({
+        f"{path.relative_to(PACKAGE)}:{node.lineno}"
+        for path in PACKAGE.rglob("*.py")
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    })
+    assert found == []

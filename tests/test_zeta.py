@@ -445,3 +445,45 @@ def test_l_functions_reject_a_character_of_another_group():
             entry(spec, rho)
     with pytest.raises(ValueError, match="different group"):
         l_leading_at_one(spec, rho)
+
+
+def _trees():
+    """A single vertex, a path and a star: the connected graphs of genus 0."""
+    return [
+        build_graph(["v"], []),
+        build_graph(["a", "b", "c", "d"], [("e", "a", "b"), ("f", "b", "c"), ("g", "c", "d")]),
+        build_graph(["o", "x", "y", "z"], [("e", "o", "x"), ("f", "o", "y"), ("g", "z", "o")]),
+    ]
+
+
+# a path of three vertices over Z/3, voltage 1 on one edge
+PATH_Z3 = CoverSpec(
+    base=build_graph(["a", "b", "c"], [("e", "a", "b"), ("f", "b", "c")]),
+    group=AbelianGroup((3,)),
+    voltage={"e": (1,)},
+)
+
+
+def test_zeta_reciprocals_of_trees_are_one():
+    for g in _trees():
+        assert genus(g) == 0
+        got = ihara_zeta_reciprocal(g)
+        assert got == UniPoly.const(1) and got == metric_zeta_reciprocal(g)
+        assert got.coeffs == (1,) and type(got.coeffs[0]) is int
+
+
+def test_l_reciprocals_on_a_tree_are_one():
+    for rho in characters(PATH_Z3.group):
+        got = artin_l_reciprocal_three_term(PATH_Z3, rho)
+        assert got == UniPoly.const(1) and got == metric_l_reciprocal(PATH_Z3, rho)
+        assert got.coeffs == (CycInt.from_int(3, 1),) and isinstance(got.coeffs[0], CycInt)
+
+
+def test_determinant_on_a_tree_is_checked(monkeypatch):
+    from galois_trees import zeta
+
+    monkeypatch.setattr(zeta, "det_over_ring", lambda rows: UniPoly((1, 0, -1, 1)))
+    with pytest.raises(AssertionError, match="on a tree"):
+        ihara_zeta_reciprocal(_trees()[1])
+    with pytest.raises(AssertionError, match="on a tree"):
+        artin_l_reciprocal_three_term(PATH_Z3, characters(PATH_Z3.group)[1])
