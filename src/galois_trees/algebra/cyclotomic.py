@@ -64,20 +64,35 @@ def euler_phi(m: int) -> int:
     return len(cyclotomic_polynomial(m)) - 1
 
 
-def _reduce(m: int, dense) -> tuple[int, ...]:
-    """Reduce an arbitrary integer polynomial in zeta_m to the power basis."""
-    folded = [0] * max(m, len(dense), 1)
-    for i, c in enumerate(dense):
-        folded[i % m] += c
+@cache
+def _power_table(m: int) -> tuple[int, tuple]:
+    """phi(m), and the nonzero (index, coefficient) pairs of zeta_m^i on the
+    power basis for i < m: each row is the last times zeta, modulo Phi_m."""
     phi = cyclotomic_polynomial(m)
     deg = len(phi) - 1
-    for i in reversed(range(deg, len(folded))):
-        c = folded[i]
+    rows, power = [], [1] + [0] * (deg - 1)
+    for _ in range(m):
+        rows.append(tuple((j, c) for j, c in enumerate(power) if c))
+        top = power.pop()
+        power = [0] + power
+        if top:
+            power = [p - top * q for p, q in zip(power, phi)]
+    return deg, tuple(rows)
+
+
+def _reduce(m: int, dense) -> tuple[int, ...]:
+    """Reduce an integer polynomial in zeta_m to the power basis: one of
+    degree below phi(m) is only padded, and each coefficient above adds in
+    the ``_power_table`` row of zeta^(i mod m)."""
+    deg, rows = _power_table(m)
+    if len(dense) <= deg:
+        return tuple(dense) + (0,) * (deg - len(dense))
+    out = list(dense[:deg])
+    for i in range(deg, len(dense)):
+        c = dense[i]
         if c:
-            for j, p in enumerate(phi):
-                folded[i - deg + j] -= c * p
-    out = folded[:deg]
-    out += [0] * (deg - len(out))
+            for j, r in rows[i % m]:
+                out[j] += c * r
     return tuple(out)
 
 

@@ -10,12 +10,14 @@ independent sets of size
 
 and each basis gets a weight: the product over the complementary genus-one
 components of (1 - value)(1 - conjugate value) at the component's cycle
-voltage, an exact cyclotomic integer.  One oracle serves every entry
-point: it sees G through an image map (the character's value exponent, or
-"nonzero in G" for the untwisted matroid, ``character=None``), and a
-basis's weight is read off the component pass that found it.  That pass is
-one union-find over the kept edges with voltage potentials, the balance
-test of Zaslavsky's bias matroid (``_deletion_components``).
+voltage, an exact cyclotomic integer.  The oracle sees G through an image
+map (the character's value exponent, or "nonzero in G" for the untwisted
+matroid, ``character=None``) and runs one union-find over the kept edges
+with voltage potentials, the balance test of Zaslavsky's bias matroid
+(``_deletion_components``).  ``bases`` runs it on integer images mod m:
+a basis leaves exactly one root (a seen dilated vertex or a cycle of
+nonzero image) in each component, so a subset is dropped at the first kept
+edge that closes a cycle of image 0 or gives a component a second root.
 
 Specs are taken as made, never normalized: changing a voltage by an element
 of D(source) + D(target) changes no cycle image in a component without a
@@ -186,28 +188,66 @@ def basis_weight(spec: CoverSpec, character: Character, basis) -> CycInt:
 
 
 def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
-    """Enumerate all bases of the twisted matroid, with weights.
+    """Enumerate all bases of the twisted matroid, with weights, in lexicographic order.
 
-    Brute force over rank-sized edge subsets against the component oracle,
-    each weight read off the pass that found its basis; output is
-    lexicographic.
+    Each rank-sized subset costs one union-find over the |E| - rank =
+    |V| - #seen edges it keeps, with potentials mod m.  By that count the
+    components left have (cycles + seen dilated vertices - 1) summing to 0,
+    no term negative, so a basis leaves exactly one root in each: a seen
+    dilated vertex or one cycle of nonzero image c, weighing
+    (1 - z^c)(1 - z^-c).  A subset is dropped at the first kept edge that
+    closes a cycle of image 0 or in a rooted component, or joins two rooted
+    components; by the same count, one that survives roots every component.
     """
     _require_usable(spec, character, "the twisted matroid requires a nontrivial character")
+    image = _image(spec, character)
+    m = spec.group.exponent
     rank = matroid_rank(spec, character)
-    pieces_of = _oracle(spec, _image(spec, character))
+    seen = _seen_dilation(spec, image)
+    edges = spec.base.edges
+    arcs = [(e, *spec.base.ends[e], image(spec.voltage_on(e))) for e in edges]
+    one = CycInt.from_int(m, 1)
+    root_weight = {}
     found = []
-    weights = []
-    for subset in combinations(spec.base.edges, rank):
-        pieces = pieces_of(subset)
-        if pieces is not None:
-            found.append(subset)
-            weights.append(_weight(spec.group.exponent, pieces, subset))
+    # kept sets in lexicographic order are the complements of the bases in reverse order
+    for kept in combinations(arcs, len(arcs) - rank):
+        up = {}  # non-root -> (parent, pot(self) - pot(parent))
+        rooted = set(seen)
+        cycles = []
+        for _, s, t, x in kept:
+            while s in up:
+                s, step = up[s]
+                x += step
+            while t in up:
+                t, step = up[t]
+                x -= step
+            x %= m  # cycle image, or pot(t's root) - pot(s's root) after a link
+            if s == t:
+                if not x or s in rooted:
+                    break
+                rooted.add(s)
+                cycles.append(x)
+            elif t in rooted:
+                if s in rooted:
+                    break
+                up[s] = (t, -x)
+            else:
+                up[t] = (s, x)
+        else:
+            kept_ids = {e for e, *_ in kept}
+            weight = one
+            for c in cycles:
+                if c not in root_weight:
+                    root_weight[c] = weight_of_root(m, c)
+                weight = weight * root_weight[c]
+            found.append((tuple(e for e in edges if e not in kept_ids), weight))
+    found.reverse()
     return TwistedMatroid(
         spec=spec,
         character=character,
         rank=rank,
-        bases=tuple(found),
-        weights=tuple(weights),
+        bases=tuple(b for b, _ in found),
+        weights=tuple(w for _, w in found),
     )
 
 

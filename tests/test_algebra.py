@@ -168,6 +168,53 @@ def test_galois_norm_is_rational(p, coeffs):
     assert norm.as_int() is not None
 
 
+def _reduce_by_division(m, dense):
+    """Reference reduction: fold zeta^m = 1 into m slots, then long-divide by Phi_m."""
+    folded = [0] * max(m, len(dense), 1)
+    for i, c in enumerate(dense):
+        folded[i % m] += c
+    phi = cyclotomic_polynomial(m)
+    deg = len(phi) - 1
+    for i in reversed(range(deg, len(folded))):
+        c = folded[i]
+        if c:
+            for j, p in enumerate(phi):
+                folded[i - deg + j] -= c * p
+    return tuple(folded[:deg])
+
+
+@pytest.mark.parametrize("m", [*range(1, 41), 105])  # 105 = 3 * 5 * 7: Phi_105 has a coefficient -2
+def test_reduction_matches_fold_and_divide(m):
+    rng = random.Random(m)
+    phi = euler_phi(m)
+
+    def dense(n):
+        return [rng.randint(-9, 9) for _ in range(n)]
+
+    # lengths up to phi(m) are already reduced and only padded
+    for n in sorted({0, 1, phi, phi + 1, m, 3 * m, *(rng.randint(0, 3 * m) for _ in range(12))}):
+        coeffs = dense(n)
+        assert CycInt(m, coeffs).coeffs == _reduce_by_division(m, coeffs)
+    a, b = dense(phi), dense(phi)
+    product = [0] * (2 * phi - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            product[i + j] += x * y
+    assert (CycInt(m, a) * CycInt(m, b)).coeffs == _reduce_by_division(m, product)
+    for k in range(-1, m):
+        if gcd(k, m) == 1:
+            image = [0] * m
+            for i, c in enumerate(a):
+                image[(i * k) % m] += c
+            assert CycInt(m, a).galois(k).coeffs == _reduce_by_division(m, image)
+    assert CycInt(m, a).conj() == CycInt(m, a).galois(-1)
+    for power in range(-m, 2 * m):
+        unit = [0] * (power % m) + [1]
+        assert CycInt.root(m, power).coeffs == _reduce_by_division(m, unit)
+    for n in (-3, 0, 7):
+        assert CycInt.from_int(m, n).coeffs == _reduce_by_division(m, [n])
+
+
 def test_galois_needs_a_unit_exponent():
     with pytest.raises(ValueError, match="automorphism"):
         CycInt.root(6, 1).galois(2)

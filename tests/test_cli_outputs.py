@@ -1,5 +1,6 @@
 """Pinned CLI output: exit code and sha256 of the output on each bundled spec,
-of ``build`` and ``jacobian --cover`` on two covers of benchmark size, and of
+of ``build`` and ``jacobian --cover`` on two covers of benchmark size, of
+``verify`` and ``matroid`` at the tops of the verify-cyclic ladder, and of
 ``zeta`` and ``lfunction`` on a tree base.
 
 A refactor that claims unchanged behaviour must leave every digest below as
@@ -53,7 +54,9 @@ def _spec_doc(vertices, edges, n, dilation, voltage) -> dict:
 
 
 # the theta graph at Z/80 (voltages 0, 1, 3: a free cover with 160 vertices)
-# and the icosahedron quotient at Z/50 (both ends fully dilated: 102 vertices)
+# and the icosahedron quotient at Z/50 (both ends fully dilated: 102 vertices);
+# theta and the dumbbell at Z/24 (23 characters each, most of them in Galois
+# orbits of several conjugates)
 LARGE_SPECS = {
     "theta_z80": _spec_doc(
         ["u", "w"], [("e", "u", "w"), ("f", "u", "w"), ("g", "u", "w")], 80,
@@ -65,17 +68,30 @@ LARGE_SPECS = {
          ("e4", "v2", "v3"), ("e5", "v3", "v3"), ("e6", "v3", "v4")],
         50, {"v1": [[1]], "v4": [[1]]}, {"e2": [1], "e3": [1], "e5": [1]},
     ),
+    "theta_z24": _spec_doc(
+        ["u", "w"], [("e", "u", "w"), ("f", "u", "w"), ("g", "u", "w")], 24,
+        {}, {"f": [1], "g": [3]},
+    ),
+    "dumbbell_z24": _spec_doc(
+        ["v1", "v2"], [("e1", "v1", "v1"), ("e2", "v2", "v2"), ("e3", "v1", "v2")],
+        24, {"v1": [[12]], "v2": [[8]]}, {"e1": [1], "e2": [1]},
+    ),
 }
 
 
-def large_command_lines(path: str) -> dict[str, list[str]]:
+def large_command_lines(name: str, path: str) -> dict[str, list[str]]:
+    if name in ("theta_z24", "dumbbell_z24"):
+        return {
+            "matroid --character 1": ["matroid", "--character", "1", path],
+            "verify": ["verify", path],
+        }
     return {"build": ["build", path], "jacobian --cover": ["jacobian", "--cover", path]}
 
 
 def run_large(name: str, workdir) -> dict[str, tuple[int, str]]:
     path = workdir / f"{name}.json"
     path.write_text(json.dumps(LARGE_SPECS[name]))
-    return {label: run_pinned(args) for label, args in large_command_lines(str(path)).items()}
+    return {label: run_pinned(args) for label, args in large_command_lines(name, str(path)).items()}
 
 
 # a path of three vertices over Z/3, voltage 1 on one edge: a genus-0 base,
@@ -158,9 +174,17 @@ PINNED = {
 
 
 PINNED_LARGE = {
+    'dumbbell_z24': {
+        'matroid --character 1': (0, '6ee8ce0478f50eb1943b598571413831536b7def878f38eb9cb9ec99fd72050c'),
+        'verify': (0, '9918b3f05fee977c59213312554ce6aab23d599ad3846afb69dd57175c47d6fd'),
+    },
     'icosahedron_z50': {
         'build': (0, '0268fb0571b973cbe76e03ab4ef6868594c983fec72a3db13b9f90d7275b3de9'),
         'jacobian --cover': (0, 'd1b4cbdddd4aec27125eb993ab785310a0d2de0578ab0d94015c0c5d49a440a6'),
+    },
+    'theta_z24': {
+        'matroid --character 1': (0, '56e0f97d78c134d92fb59449452b1d1355ea7fdaa8d79d03549686202d46775a'),
+        'verify': (0, '058dc2f0c9dba0b4d2dd627ad73de5d53a790b62a5cb4bf75c6f5e4d3a7ef503'),
     },
     'theta_z80': {
         'build': (0, '6c7d63e3e85c7f352425af7c8b58e11f1de44d112256b0a515455ed9d0d916bb'),
