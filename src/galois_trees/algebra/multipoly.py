@@ -138,10 +138,12 @@ class MultiPoly:
         return bool(self.terms)
 
     def __eq__(self, other):
+        """Equal term dicts: both hold only nonzero coefficients under canonical
+        monomials, and an int equals a CycInt of the same value."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return not (self - other)
+        return self.terms == other.terms
 
     def __hash__(self):
         if set(self.terms) <= {()}:  # a constant hashes like the scalar it equals

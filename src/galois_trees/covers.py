@@ -43,12 +43,17 @@ from .groups import (
 class CoverSpec:
     """A cover specification, checked when made (ValueError): dilation ids are
     base vertices with subgroups of ``group``, voltage ids are base edges with
-    elements of the group's arity.  ``validate_spec`` normalizes it."""
+    elements of the group's arity.  ``validate_spec`` normalizes it.
+
+    ``_connected`` is not an argument: it memoizes, per spec object, whether
+    the cover is connected, once ``matroids._require_usable`` has decided it
+    from base data (None until then)."""
 
     base: Graph
     group: AbelianGroup
     dilation: dict[str, Subgroup] = field(default_factory=dict)
     voltage: dict[str, Element] = field(default_factory=dict)
+    _connected: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v, sub in self.dilation.items():
@@ -85,17 +90,24 @@ def validate_spec(spec: CoverSpec) -> NormalizedSpec:
     voltages and trivial dilation entries are dropped entirely.  The edges
     whose stored representative changed are reported.  Twisted matroids and
     L-functions do not depend on the representative and take a spec as made.
+    An edge with no dilated end keeps its voltage, and the joint subgroup of
+    a pair of dilated ends is closed once.
     """
     g = spec.base
     group = spec.group
     dilation = {v: sub for v, sub in spec.dilation.items() if not sub.is_trivial()}
     voltage: dict[str, Element] = {}
     reduced = []
+    joints: dict[tuple[str, str], Subgroup] = {}
     for e in sorted(spec.voltage):
         eta = group.reduce(spec.voltage[e])
-        s, t = g.ends[e]
-        joint = subgroup_sum(spec.dilation_at(s), spec.dilation_at(t))
-        rep = min(group.add(eta, d) for d in joint.elements)
+        s, t = sorted(g.ends[e])
+        if s in dilation or t in dilation:
+            if (s, t) not in joints:
+                joints[s, t] = subgroup_sum(spec.dilation_at(s), spec.dilation_at(t))
+            rep = min(group.add(eta, d) for d in joints[s, t].elements)
+        else:
+            rep = eta
         if rep != eta:
             reduced.append(e)
         if rep != group.zero():

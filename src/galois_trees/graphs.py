@@ -254,16 +254,31 @@ def _add_into(states: dict, key, poly: dict[int, int]):
 
 
 def _breadth_first(g: Graph) -> list[str]:
-    """The vertices of a connected graph in breadth-first order from the first."""
+    """The vertices in breadth-first order from a pseudo-peripheral vertex.
+
+    A first search from ``g.vertices[0]`` checks connectivity (ValueError
+    when it misses a vertex); the order returned is that of a second search
+    from the last vertex the first one met, which lies at the greatest
+    distance from the start (one step of Gibbs, Poole and Stockmeyer, SIAM
+    J. Numer. Anal. 13, 1976).  Starting at the end of a long graph keeps
+    the breadth-first levels, hence the sweep's frontier, narrow.
+    """
     adj = _adjacency(g)
-    order = [g.vertices[0]]
-    seen = set(order)
-    for v in order:
-        for _, w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                order.append(w)
-    return order
+
+    def search(start: str) -> list[str]:
+        order = [start]
+        seen = {start}
+        for v in order:
+            for _, w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        return order
+
+    first = search(g.vertices[0])
+    if len(first) != len(g.vertices):
+        raise ValueError("spanning trees require a connected graph")
+    return search(first[-1])
 
 
 def tree_sweep(g: Graph, unit: Mapping[str, int]) -> dict[int, int]:
@@ -273,16 +288,19 @@ def tree_sweep(g: Graph, unit: Mapping[str, int]) -> dict[int, int]:
     ``modular.PackedKeys`` layout whose fields hold every edge carrying that
     variable.  Returns a map from packed complements (the product of the
     variables of the edges outside a tree) to the number of spanning trees
-    with that complement.  The graph must be connected.
+    with that complement.  A disconnected graph raises ValueError: the
+    search that orders the vertices checks it, so callers need no pass of
+    their own.
 
     A frontier sweep (Sekine, Imai and Tani, ISAAC 1995): parallel non-loop
     edges with one unit form a bundle, and the bundles are processed in
     the order of their ends' positions in a breadth-first order of the
-    vertices, which keeps the frontier narrow on long sparse graphs such as
-    cyclic covers.  The frontier is the list of vertices already met that
-    still have an unprocessed bundle; a state is a partition of the frontier
-    into blocks of the forest chosen so far, kept in canonical form, and maps
-    to a polynomial counting the forests that reach it.  Every state starts
+    vertices from a pseudo-peripheral vertex (``_breadth_first``), which
+    keeps the frontier narrow on long sparse graphs such as cyclic covers.
+    The frontier is the list of vertices already met that still have an
+    unprocessed bundle; a state is a partition of the frontier into blocks
+    of the forest chosen so far, kept in canonical form, and maps to a
+    polynomial counting the forests that reach it.  Every state starts
     from the product of all edge variables, loops included.  A bundle of k
     edges with variable x either stays out of the forest, or, when its ends
     lie in different blocks, puts one of its k edges in and merges the blocks
@@ -335,10 +353,9 @@ def spanning_trees(g: Graph) -> list[EdgeSubset]:
 
     A by-product of ``tree_sweep`` with one variable, and one one-bit field,
     per edge: every complement it returns leaves out the edges of exactly
-    one tree.  Loops never occur in a tree.
+    one tree.  Loops never occur in a tree.  A disconnected graph raises
+    ValueError from the sweep.
     """
-    if not is_connected(g):
-        raise ValueError("spanning trees require a connected graph")
     keys = PackedKeys(dict.fromkeys(g.edges, 1))
     outside = keys.unpack(tree_sweep(g, keys.unit)).terms
     return sorted(tuple(e for e in g.edges if e not in dict(mono)) for mono in outside)

@@ -9,6 +9,7 @@ values can feed exact cyclotomic arithmetic, never floating point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import lcm, prod
 from typing import Iterable
@@ -26,11 +27,12 @@ class AbelianGroup:
         if any(n < 1 for n in self.orders):
             raise ValueError("cyclic orders must be positive")
 
-    @property
+    # computed once per group; equality and hashing still go by ``orders``
+    @cached_property
     def order(self) -> int:
         return prod(self.orders)
 
-    @property
+    @cached_property
     def exponent(self) -> int:
         return lcm(*self.orders) if self.orders else 1
 
@@ -122,12 +124,15 @@ class Character:
     group: AbelianGroup
     exponents: tuple[int, ...]
 
-    def value_exponent(self, a: Element) -> int:
+    @cached_property
+    def _scaled(self) -> tuple[int, ...]:
+        """c * (m / n) per cyclic factor: the value exponent of each generator."""
         m = self.group.exponent
-        total = 0
-        for c, x, n in zip(self.exponents, self.group.reduce(a), self.group.orders):
-            total += c * x * (m // n)
-        return total % m
+        return tuple(c * (m // n) for c, n in zip(self.exponents, self.group.orders))
+
+    def value_exponent(self, a: Element) -> int:
+        total = sum(w * x for w, x in zip(self._scaled, self.group.reduce(a)))
+        return total % self.group.exponent
 
     def cyc_value(self, a: Element) -> CycInt:
         return CycInt.root(self.group.exponent, self.value_exponent(a))

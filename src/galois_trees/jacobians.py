@@ -102,9 +102,9 @@ def labeled_jacobian_polynomial(g: Graph, labels: Mapping[str, str] | None = Non
     frontier sweep of ``graphs.tree_sweep``, which returns the complements
     packed in a ``PackedKeys`` layout with one field per label, wide enough
     for all of the label's edges (loops too: they are in every complement).
+    The sweep's vertex order checks connectivity: a disconnected graph
+    raises ValueError there, with no separate pass.
     """
-    if not is_connected(g):
-        raise ValueError("the tree polynomial requires a connected graph")
     if labels is None:
         labels = {e: e for e in g.edges}
     keys = PackedKeys(Counter(labels[e] for e in g.edges))
@@ -118,9 +118,8 @@ def jacobian_polynomial(g: Graph) -> MultiPoly:
 
 
 def specialized_jacobian_polynomial(cover: Cover) -> MultiPoly:
-    """Tree polynomial of the total graph in base edge variables."""
-    if not is_connected(cover.total):
-        raise ValueError("the cover is disconnected")
+    """Tree polynomial of the total graph in base edge variables; ValueError
+    when the total graph is disconnected."""
     return labeled_jacobian_polynomial(cover.total, cover.edge_map)
 
 

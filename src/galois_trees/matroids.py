@@ -19,6 +19,10 @@ a basis leaves exactly one root (a seen dilated vertex or a cycle of
 nonzero image) in each component, so a subset is dropped at the first kept
 edge that closes a cycle of image 0 or gives a component a second root.
 
+Every entry point first requires a connected cover (``_require_usable``).
+That is decided from base data once per spec object and kept on the spec,
+so the Galois orbits of one verification share one check.
+
 Specs are taken as made, never normalized: changing a voltage by an element
 of D(source) + D(target) changes no cycle image in a component without a
 seen dilated vertex, so neither independence nor any weight depends on the
@@ -89,17 +93,24 @@ def _require_usable(spec: CoverSpec, character: Character | None = None, trivial
     """The cover must be connected: read off the base, no cover is built.
 
     The cover is connected exactly when the base is, and the fundamental
-    cycle voltages together with the dilation subgroups generate G.
-    ``trivial_error`` also rejects the trivial character.
+    cycle voltages together with the dilation subgroups generate G.  That
+    verdict, either way, is decided by one ``_deletion_components`` pass
+    per spec object and kept on the spec (``CoverSpec._connected``); a
+    normalized spec is new on every ``build_cover``, so the memo lasts one
+    verification.  The trivial-group and ``trivial_error`` checks (the
+    latter rejects the trivial character) run on every call.
     """
     if spec.group.is_trivial():
         raise ValueError("the matroid of a trivial cover is undefined")
-    comps = _deletion_components(spec, set())
-    if len(comps) != 1:
-        raise ValueError("the matroid requires a connected cover")
-    gens = set(comps[0][1])
-    gens.update(d for sub in spec.dilation.values() for d in sub.elements)
-    if subgroup_from_generators(spec.group, gens).order != spec.group.order:
+    if spec._connected is None:
+        comps = _deletion_components(spec, set())
+        connected = len(comps) == 1
+        if connected:
+            gens = set(comps[0][1])
+            gens.update(d for sub in spec.dilation.values() for d in sub.elements)
+            connected = subgroup_from_generators(spec.group, gens).order == spec.group.order
+        object.__setattr__(spec, "_connected", connected)  # a memo on a frozen spec
+    if not spec._connected:
         raise ValueError("the matroid requires a connected cover")
     if trivial_error and character is not None and character.is_trivial():
         raise ValueError(trivial_error)
@@ -202,9 +213,9 @@ def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
     _require_usable(spec, character, "the twisted matroid requires a nontrivial character")
     image = _image(spec, character)
     m = spec.group.exponent
-    rank = matroid_rank(spec, character)
     seen = _seen_dilation(spec, image)
     edges = spec.base.edges
+    rank = len(edges) - len(spec.base.vertices) + len(seen)  # genus - 1 + #seen, base connected
     arcs = [(e, *spec.base.ends[e], image(spec.voltage_on(e))) for e in edges]
     one = CycInt.from_int(m, 1)
     root_weight = {}

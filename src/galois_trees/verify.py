@@ -173,7 +173,7 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
         # every k with rho^k = conj gives its report: rho takes ord(rho)-th roots as values
         orbit = {rho.power(k): k for k in galois_exponents(m)}
         for conj, k in orbit.items():
-            found[conj] = first.galois(k)
+            found[conj] = first if conj == rho else first.galois(k)  # sigma_1 is the identity
         orbits.append((rho, [found[conj].polynomial for conj in orbit]))
     reports = tuple(found[rho] for rho in nontrivial)
     factors = [base_poly] + [rep.polynomial for rep in reports]

@@ -756,3 +756,30 @@ def test_unipoly_with_cyc_coefficients():
     p = UniPoly((1, z)) * UniPoly((1, z.conj()))
     # (1 + z s)(1 + z^2 s) = 1 + (z + z^2) s + s^2 = 1 - s + s^2
     assert p == UniPoly((1, -1, 1))
+
+
+def test_multipoly_equality_compares_terms():
+    xy2 = (("x", 1), ("y", 2))
+    equal = (
+        (MultiPoly({(("x", 1),): 2, xy2: -1}),
+         MultiPoly({(("x", 1),): CycInt.from_int(5, 2), xy2: CycInt.from_int(7, -1)})),
+        (MultiPoly.const(3), 3),
+        (MultiPoly.const(CycInt.from_int(4, 3)), 3),
+        (MultiPoly.const(3), CycInt.from_int(4, 3)),
+        (MultiPoly.const(CycInt.root(5, 1)), CycInt.root(5, 1)),
+        (MultiPoly(), 0),
+        (MultiPoly({(): 0, xy2: 0}), MultiPoly()),
+    )
+    for a, b in equal:
+        assert a == b and b == a and not a != b
+        assert hash(a) == hash(b)
+    unequal = (
+        (MultiPoly({(("x", 1),): 2, xy2: -1}), MultiPoly({(("x", 1),): 2, xy2: -2})),
+        (MultiPoly({(("x", 1),): 2, xy2: -1}), MultiPoly({(("x", 1),): 2, (("x", 1), ("y", 1)): -1})),
+        (MultiPoly({(("x", 1),): 2}), MultiPoly({(("x", 1),): 2, xy2: -1})),
+        (MultiPoly.const(3), 4),
+        (MultiPoly.const(CycInt.root(5, 1)), 1),
+        (MultiPoly.variable("x"), 1),
+    )
+    for a, b in unequal:
+        assert a != b and b != a and not a == b

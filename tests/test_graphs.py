@@ -8,11 +8,15 @@ from galois_trees import (
     contract,
     degree_sequence,
     genus,
+    graphs,
     spanning_trees,
     spanning_trees_bruteforce,
     valency_adjacency,
 )
+from galois_trees.algebra.modular import PackedKeys
+from galois_trees.graphs import _breadth_first, tree_sweep
 from helpers import (
+    count_calls,
     dumbbell_graph,
     icosahedron_quotient_graph,
     random_connected_multigraph,
@@ -225,3 +229,40 @@ def test_counting_lemma():
                 genera = [len(c.edges) - len(c.vertices) + 1 for c in comps]
                 if genera and all(x == 1 for x in genera):
                     assert size == gamma - 1
+
+
+def ladder_with_least_id_inside():
+    """A ladder of six rungs with a loop at one end and a chord near the other;
+    the least vertex id, "a", sits on the third rung, far from both ends."""
+    names = ["p", "q", "a", "r", "s", "t"]
+    top = ["a" if n == "a" else f"{n}0" for n in names]
+    bottom = [f"{n}1" for n in names]
+    edges = [(f"r{i}", top[i], bottom[i]) for i in range(6)]
+    for i in range(5):
+        edges += [(f"t{i}", top[i], top[i + 1]), (f"b{i}", bottom[i], bottom[i + 1])]
+    edges += [("x", "p0", "p0"), ("y", "t1", "s1")]
+    return build_graph(top + bottom, edges)
+
+
+def test_sweep_starts_at_a_pseudo_peripheral_vertex(monkeypatch):
+    g = ladder_with_least_id_inside()
+    assert g.vertices[0] == "a"
+    order = _breadth_first(g)
+    assert sorted(order) == list(g.vertices)
+    assert order[0] in {"p0", "p1", "t0", "t1"}  # an end of the ladder
+    merges = count_calls(monkeypatch, graphs, "_add_into")
+    complements = tree_sweep(g, PackedKeys(dict.fromkeys(g.edges, 1)).unit)
+    assert sum(complements.values()) == 1351 == len(spanning_trees_bruteforce(g))
+    # state merges: 206 in breadth-first order from "a", 81 from the far end
+    assert len(merges) == 81
+
+
+def test_sweep_refuses_two_components():
+    g = build_graph(["a", "b", "c", "d"], [("e", "a", "b"), ("f", "c", "d"), ("g", "c", "d")])
+    for call in (
+        lambda: _breadth_first(g),
+        lambda: tree_sweep(g, dict.fromkeys(g.edges, 1)),
+        lambda: spanning_trees(g),
+    ):
+        with pytest.raises(ValueError, match="require a connected graph"):
+            call()

@@ -1,3 +1,5 @@
+from math import lcm, prod
+
 import pytest
 
 from galois_trees import (
@@ -121,3 +123,20 @@ def test_conjugate_character():
         conj = rho.conj()
         for a in z5.elements():
             assert conj.value_exponent(a) == (-rho.value_exponent(a)) % 5
+
+
+def test_cached_group_constants_match_the_formulas():
+    for orders in ((1,), (2,), (6,), (2, 2), (2, 4), (3, 3), (2, 3, 4)):
+        group = AbelianGroup(orders)
+        m = lcm(*orders)
+        assert group.order == prod(orders) and group.exponent == m
+        assert group == AbelianGroup(orders) and hash(group) == hash(AbelianGroup(orders))
+        for rho in characters(group):
+            for a in group.elements():
+                for shift in (-3, -1, 0, 1, 2):
+                    b = tuple(x + shift * n for x, n in zip(a, orders))
+                    old = sum(c * (x % n) * (m // n) for c, x, n in zip(rho.exponents, b, orders))
+                    assert rho.value_exponent(b) == old % m
+            for wrong in (group.zero() + (0,), group.zero()[1:]):
+                with pytest.raises(ValueError, match="arity"):
+                    rho.value_exponent(wrong)

@@ -11,6 +11,7 @@ from galois_trees import (
     build_graph,
     contract,
     genus,
+    graphs,
     int_det,
     jacobian_group,
     jacobian_polynomial,
@@ -29,6 +30,7 @@ from galois_trees.algebra import intmat, smith_diagonal, smith_normal_form
 from galois_trees.algebra.modular import root_of_unity, split_prime
 from galois_trees.errors import ExactDivisionError
 from helpers import (
+    count_calls,
     dumbbell_graph,
     dumbbell_z6_spec,
     icosahedron_spec,
@@ -431,3 +433,23 @@ def test_icosahedron_exact_polynomial_check():
     assert report.lhs_polynomial == report.rhs_polynomial
     assert report.lhs_polynomial.value_at_ones() == 5_184_000
     assert report.equal
+
+
+def test_tree_polynomials_refuse_a_disconnected_cover_in_the_sweep():
+    cover = build_cover(CoverSpec(base=theta_graph(), group=AbelianGroup((2,))))
+    assert len(graphs.connected_components(cover.total)) == 2
+    for call in (
+        lambda: labeled_jacobian_polynomial(cover.total, cover.edge_map),
+        lambda: labeled_jacobian_polynomial(cover.total),
+        lambda: specialized_jacobian_polynomial(cover),
+    ):
+        with pytest.raises(ValueError, match="connected"):
+            call()
+
+
+def test_tree_polynomial_makes_no_components_pass(monkeypatch):
+    cover = build_cover(icosahedron_spec())
+    calls = count_calls(monkeypatch, graphs, "connected_components")
+    assert labeled_jacobian_polynomial(cover.total, cover.edge_map).value_at_ones() == 5_184_000
+    assert specialized_jacobian_polynomial(cover).value_at_ones() == 5_184_000
+    assert calls == []

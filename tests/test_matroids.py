@@ -35,6 +35,7 @@ from galois_trees.specfile import parse_spec
 from helpers import (
     RANDOM_GROUPS,
     SPEC_DIR,
+    count_calls,
     dumbbell_z6_spec,
     icosahedron_spec,
     random_cover_spec,
@@ -463,3 +464,40 @@ def test_matroids_and_l_functions_ignore_the_voltage_representative():
                     assert entry(moved, rho) == entry(normalized, rho)
         dilated += not spec.is_free()
     assert 10 <= dilated <= 30 and shifted >= 10
+
+
+def test_usability_is_decided_once_per_spec(monkeypatch):
+    passes = count_calls(monkeypatch, matroids, "_deletion_components")
+    spec = icosahedron_spec(8)
+    rho, sigma = characters(spec.group)[1:3]
+    bases(spec, rho)
+    bases(spec, sigma)
+    weight_polynomial(spec, rho)
+    assert len(passes) == 1
+
+
+def test_usability_verdicts_are_kept_per_spec_object(monkeypatch):
+    passes = count_calls(monkeypatch, matroids, "_deletion_components")
+    spec = CoverSpec(base=theta_graph(), group=AbelianGroup((2,)))
+    rho = characters(spec.group)[1]
+    for call in (lambda: bases(spec, rho), lambda: weight_polynomial(spec, rho)) * 2:
+        with pytest.raises(ValueError, match="requires a connected cover"):
+            call()
+    assert len(passes) == 1
+    again = CoverSpec(base=spec.base, group=spec.group)
+    assert again == spec
+    with pytest.raises(ValueError, match="requires a connected cover"):
+        bases(again, rho)
+    assert len(passes) == 2
+
+    # a kept positive verdict does not skip the per-call checks
+    usable = CoverSpec(base=theta_graph(), group=AbelianGroup((2,)), voltage={"f": (1,)})
+    assert len(bases(usable, rho).bases) == 2
+    for _ in range(2):
+        with pytest.raises(ValueError, match="nontrivial character"):
+            bases(usable, characters(usable.group)[0])
+    trivial = CoverSpec(base=theta_graph(), group=AbelianGroup((1,)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="trivial cover"):
+            untwisted_bases(trivial)
+    assert len(passes) == 3

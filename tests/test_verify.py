@@ -290,3 +290,17 @@ def test_one_spec_validation_per_verification(monkeypatch):
             artin_l_reciprocal_three_term(spec, rho)
             twisted_laplacian_det(spec, rho)
         assert calls == []
+
+
+def test_the_orbit_representative_is_not_mapped_by_sigma_1(monkeypatch):
+    ks = []
+    original = CharacterReport.galois
+    monkeypatch.setattr(
+        CharacterReport, "galois", lambda self, k: (ks.append(k), original(self, k))[1]
+    )
+    klein = CoverSpec(
+        base=theta_graph(), group=AbelianGroup((2, 2)), voltage={"f": (1, 0), "g": (0, 1)}
+    )
+    for spec in (theta_spec(12), klein):
+        assert verify_main_theorem(spec).equal
+    assert ks and 1 not in ks
