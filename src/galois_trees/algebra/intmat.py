@@ -23,7 +23,7 @@ from .modular import (
     l1,
     power_basis_solver,
     root_of_unity,
-    split_prime,
+    split_primes,
     to_residue,
 )
 from .unipoly import UniPoly
@@ -297,24 +297,26 @@ def _unit_pivot(live, holders, row_bucket, col_bucket, top) -> tuple[int, int] |
     return best
 
 
-def det_over_ring(rows: list[list]) -> object:
+def det_over_ring(rows: list) -> object:
     """Exact determinant of a square matrix over Z[zeta_m][s].
 
-    Entries are ints, CycInts of one conductor m, or UniPolys in s with such
-    coefficients; any other entry (a Fraction or a MultiPoly, say) raises
-    TypeError.  The result is a UniPoly when some entry is one, else a
-    scalar; its coefficients are CycInts when some entry carries a CycInt,
-    else ints.  The empty matrix has determinant 1.
+    A row lists its n entries, or is a dict {column: entry} (later passes
+    walk nonzeros only).  Entries are ints, CycInts of one conductor m, or
+    UniPolys in s with such coefficients; any other entry (a Fraction or a
+    MultiPoly, say) raises TypeError.  The result is a UniPoly when some
+    entry is one, else a scalar; its coefficients are CycInts when some
+    entry carries a CycInt, else ints.  The empty matrix has determinant 1.
 
-    Multimodular: for primes p ≡ 1 (mod m) below 2^62 and each k prime to m,
+    Multimodular: for primes p ≡ 1 (mod m) and each k prime to m,
     zeta -> omega^k (omega a primitive m-th root of unity mod p) maps the
     matrix to F_p[s].  A matrix I - diag(s^l_i) B with B scalar, such as a
     zeta edge matrix, has as determinant the reversed characteristic
     polynomial of an N x N unit-step matrix, N = sum l_i, from one Hessenberg
     reduction when N^3 <= (N + 1) n^3; otherwise Gaussian elimination at
     s = 0..d and interpolation give it.  One inverted Vandermonde in the
-    omega^k recovers the power-basis coefficients mod p.  Primes are combined
-    by CRT with symmetric lift until their product exceeds 2B.
+    omega^k recovers the power-basis coefficients mod p.  The primes, one
+    below 2^30 or else several below 2^60 (``modular.split_primes``), are
+    combined by CRT with symmetric lift once their product exceeds 2B.
 
     The degree in s is at most d = min(sum of row max degrees, sum of column
     max degrees).  The bound B = c_m * min(prod of row l1, prod of column
@@ -326,20 +328,22 @@ def det_over_ring(rows: list[list]) -> object:
     at most either product; folding x^m = 1 does not raise it, and then
     each x^b with b < m contributes at most c_m times its coefficient.
 
-    The result is checked modulo one more prime, not used above, against an
-    F_p determinant at one point; a mismatch raises AssertionError, also
-    under ``python -O``.
+    The result is checked modulo the last prime of ``split_primes``, unused
+    above, against an F_p determinant at one point; a mismatch raises
+    AssertionError, also under ``python -O``.
     """
     n = len(rows)
     if n == 0:
         return 1
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    # s-coefficients of every entry, () for a zero entry
+    # {column: s-coefficients} of the nonzero entries of every row
     entries, conductors, is_poly = [], set(), False
     for r in rows:
-        row = []
-        for x in r:
+        if not isinstance(r, dict) and len(r) != n:
+            raise ValueError("matrix is not square")
+        row = {}
+        for j, x in r.items() if isinstance(r, dict) else enumerate(r):
+            if not 0 <= j < n:
+                raise ValueError(f"column {j} is outside a {n} x {n} matrix")
             if isinstance(x, UniPoly):
                 is_poly = True
                 x = x.coeffs
@@ -350,7 +354,8 @@ def det_over_ring(rows: list[list]) -> object:
                     conductors.add(c.conductor)
                 elif not isinstance(c, int):
                     raise TypeError("entries must be ints, CycInts or UniPolys of them")
-            row.append(x if any(x) else ())
+            if any(x):
+                row[j] = x
         entries.append(row)
     if len(conductors) > 1:
         raise ValueError(f"CycInt entries of conductors {sorted(conductors)}")
@@ -381,14 +386,17 @@ def _det_bound(entries, m: int) -> int:
     max_{|s|=1} |f(s)| (Cauchy's estimate), and there |a_ij(s)| <= l1(a_ij),
     so |f(s)| <= prod_i (sum_j l1(a_ij)^2)^(1/2), and the same over columns.
     """
-    norms = [[sum(map(l1, x)) for x in r] for r in entries]
-    rows = prod(sum(r) for r in norms)
-    cols = prod(sum(col) for col in zip(*norms))
+    norms = [{j: sum(map(l1, x)) for j, x in r.items()} for r in entries]
+    col_sums, col_squares = [0] * len(entries), [0] * len(entries)
+    for r in norms:
+        for j, x in r.items():
+            col_sums[j] += x
+            col_squares[j] += x * x
+    rows, cols = prod(sum(r.values()) for r in norms), prod(col_sums)
     if m > 1:
         return _root_height(m) * min(rows, cols)
-    hadamard_rows = prod(_ceil_sqrt(sum(x * x for x in r)) for r in norms)
-    hadamard_cols = prod(_ceil_sqrt(sum(x * x for x in col)) for col in zip(*norms))
-    return min(rows, cols, hadamard_rows, hadamard_cols)
+    hadamard_rows = prod(_ceil_sqrt(sum(x * x for x in r.values())) for r in norms)
+    return min(rows, cols, hadamard_rows, prod(map(_ceil_sqrt, col_squares)))
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -398,23 +406,24 @@ def _ceil_sqrt(n: int) -> int:
 def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:
     """The determinant's s-coefficients as power-basis coordinates, trimmed.
 
-    entries[i][j] lists the s-coefficients (ints or CycInts) of entry (i, j).
+    entries[i] maps each column j of a nonzero entry (i, j) to its
+    s-coefficients (ints or CycInts).
     """
     n = len(entries)
-    degrees = [[len(x) - 1 for x in r] for r in entries]
-    row_degrees = [max(r) for r in degrees]
-    col_degrees = [max(col) for col in zip(*degrees)]
+    row_degrees = [max(map(len, r.values()), default=0) - 1 for r in entries]
+    col_degrees = [-1] * n
+    for r in entries:
+        for j, x in r.items():
+            col_degrees[j] = max(col_degrees[j], len(x) - 1)
     if min(row_degrees) < 0 or min(col_degrees) < 0:
         return []  # a zero row or column
     d = min(sum(row_degrees), sum(col_degrees))
     if (lengths := _unit_step_lengths(entries)) and sum(lengths) ** 3 > (sum(lengths) + 1) * n ** 3:
         lengths = None  # the unit-step matrix would cost more than d + 1 eliminations
-    bound = 2 * _det_bound(entries, m)
     phi = euler_phi(m)
-    modulus, acc, used = 1, [0] * ((d + 1) * phi), 0
-    while modulus <= bound:
-        p = split_prime(m, used)
-        used += 1
+    *primes, extra = split_primes(m, _det_bound(entries, m))
+    modulus, acc = 1, [0] * ((d + 1) * phi)
+    for p in primes:
         # per map zeta -> omega^k, the determinant's s-coefficients mod p
         images = []
         for k in galois_exponents(m):
@@ -430,7 +439,7 @@ def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:
     half = modulus // 2
     acc = [a - modulus if a > half else a for a in acc]
     coords = [tuple(acc[k * phi:(k + 1) * phi]) for k in range(d + 1)]
-    _check_extra_prime(entries, m, coords, split_prime(m, used), d + 1)
+    _check_extra_prime(entries, m, coords, extra, d + 1)
     while coords and not any(coords[-1]):
         coords.pop()
     return coords
@@ -442,9 +451,9 @@ def _unit_step_lengths(entries) -> list[int] | None:
     monomial of degree l_i >= 1 (l_i = 0 for a zero row of B)."""
     lengths = []
     for i, r in enumerate(entries):
-        degrees = {len(x) - 1 for x in r if len(x) > 1}
-        if len(degrees) > 1 or any((x[0] if x else 0) != (i == j) or any(x[1:-1])
-                                   for j, x in enumerate(r)):
+        degrees = {len(x) - 1 for x in r.values() if len(x) > 1}
+        if i not in r or len(degrees) > 1 or any(x[0] != (i == j) or any(x[1:-1])
+                                                 for j, x in r.items()):
             return None
         lengths.append(max(degrees, default=0))
     return lengths
@@ -480,8 +489,7 @@ def _images(entries, p: int, omega: int) -> list[tuple[int, int, list[int]]]:
     return [
         (i, j, [to_residue(c, omega, p) for c in x])
         for i, r in enumerate(entries)
-        for j, x in enumerate(r)
-        if x
+        for j, x in r.items()
     ]
 
 

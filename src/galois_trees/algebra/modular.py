@@ -9,13 +9,14 @@ at the phi(m) distinct points omega^k, a Vandermonde system.  Roots for
 several such primes combine by CRT into one omega modulo their product M,
 and zeta -> omega is then a ring map Z[zeta_m] -> Z/M.
 
-Primes are searched downwards from 2^62 and cached per conductor, so that
-multimodular algorithms over Z[zeta_m] can ask for the i-th one; nothing
-is computed at import.  ``intmat.det_over_ring`` takes determinants over
-Z[zeta_m][s] prime by prime under every map zeta -> omega^k, and
-``verify.assemble_rhs`` multiplies the weight polynomials modulo one
-product M of primes (``split_modulus``, ``product_bound``, ``mul_mod``,
-``value_mod``) with monomials packed by ``PackedKeys``, the one layout that
+Primes fit CPython's 30-bit digits: ``split_primes`` takes one below 2^30
+when it can, else primes below 2^60 (two digits); they are searched
+downwards and cached per conductor, nothing at import.
+``intmat.det_over_ring`` takes determinants over Z[zeta_m][s] prime by
+prime under every map zeta -> omega^k, and ``verify.assemble_rhs``
+multiplies the weight polynomials modulo one product M of primes
+(``split_modulus``, ``product_bound``, ``mul_mod``, ``value_mod``) with
+monomials packed by ``PackedKeys``, the one layout that
 ``graphs.tree_sweep`` also counts tree complements in.
 """
 
@@ -28,7 +29,8 @@ from typing import Iterable, Mapping
 from .cyclotomic import CycInt, euler_phi
 from .multipoly import MultiPoly
 
-PRIME_LIMIT = 1 << 62
+PRIME_LIMIT = 1 << 60  # two 30-bit CPython digits
+SMALL_PRIME_LIMIT = 1 << 30  # one digit
 
 # Miller-Rabin with these bases is a proof of primality below 3.3 * 10^24
 _WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -65,25 +67,52 @@ def is_prime(n: int) -> bool:
 
 
 @cache
-def split_prime(m: int, index: int) -> int:
-    """The index-th largest prime p < 2^62 with p ≡ 1 (mod m), from 0.
+def split_prime(m: int, index: int, limit: int = PRIME_LIMIT) -> int:
+    """The index-th largest prime p ≡ 1 (mod m) with limit / 2 < p < limit,
+    from 0; ValueError when there are fewer.
 
     >>> p = split_prime(105, 0)
-    >>> p % 105, p < 2**62 < 2 * p, is_prime(p)
+    >>> p % 105, p < 2**60 < 2 * p, is_prime(p)
     (1, True, True)
-    >>> split_prime(105, 1) < p
-    True
+    >>> split_prime(105, 1) < p, split_prime(105, 0, SMALL_PRIME_LIMIT) < 2**30
+    (True, True)
     """
     if m < 1:
         raise ValueError("conductor must be a positive integer")
     step = m if m % 2 == 0 else 2 * m  # p - 1 is even and divisible by m
     if index:
-        candidate = split_prime(m, index - 1) - step
+        candidate = split_prime(m, index - 1, limit) - step
     else:
-        candidate = (PRIME_LIMIT - 2) // step * step + 1
-    while not is_prime(candidate):
+        candidate = (limit - 2) // step * step + 1
+    while candidate > limit // 2:
+        if is_prime(candidate):
+            return candidate
         candidate -= step
-    return candidate
+    raise ValueError(f"fewer than {index + 1} primes 1 mod {m} in ({limit // 2}, {limit})")
+
+
+def split_primes(m: int, bound: int) -> list[int]:
+    """Split primes whose product M exceeds 2 * bound, then one more for a
+    check: one below 2^30 when it alone exceeds 2 * bound, else the fewest
+    below 2^60 (one at least).  |c| <= bound is the symmetric lift of c mod M.
+
+    >>> split_primes(12, 2**28) == [split_prime(12, i, SMALL_PRIME_LIMIT) for i in (0, 1)]
+    True
+    >>> split_primes(12, 2**70) == [split_prime(12, i) for i in (0, 1, 2)]
+    True
+    """
+    if 2 * bound < SMALL_PRIME_LIMIT:
+        try:
+            small = [split_prime(m, i, SMALL_PRIME_LIMIT) for i in (0, 1)]
+            if small[0] > 2 * bound:
+                return small
+        except ValueError:  # fewer than two such primes: conductors near 2^29
+            pass
+    primes, modulus = [], 1
+    while not primes or modulus <= 2 * bound:
+        primes.append(split_prime(m, len(primes)))
+        modulus *= primes[-1]
+    return primes + [split_prime(m, len(primes))]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -235,8 +264,10 @@ def charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
             for row in rows:
                 row[k + 1], row[pivot] = row[pivot], row[k + 1]
         inv = pow(rows[k + 1][k], -1, p)
-        tail = [(j, x) for j in range(k, n) if (x := rows[k + 1][j])]
         factors = [(i, rows[i][k] * inv % p) for i in range(k + 2, n) if rows[i][k]]
+        if not factors:  # column k is clear below the subdiagonal already
+            continue
+        tail = [(j, x) for j in range(k, n) if (x := rows[k + 1][j])]
         for i, u in factors:  # row i loses u times row k + 1 ...
             row = rows[i]
             for j, x in tail:
@@ -250,32 +281,32 @@ def charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
             if f := rows[i][m] * chain % p:
                 for j, x in enumerate(minors[i]):
                     out[j] -= f * x
-            chain = chain * rows[i][i - 1] % p
+            if not (chain := chain * rows[i][i - 1] % p):
+                break  # every later term has this factor
         minors.append([x % p for x in out])
     return minors[n]
 
 
-def split_modulus(m: int, bound: int) -> tuple[int, int, int]:
-    """(M, omega, count): M is the product of split_prime(m, 0..count-1), the
-    fewest (one at least) that make M > 2 * bound, and omega is
-    root_of_unity(m, p) modulo each of those p (CRT), so zeta -> omega is a
-    ring map Z[zeta_m] -> Z/M.
+def split_modulus(m: int, bound: int) -> tuple[int, int, list[int]]:
+    """(M, omega, primes): ``primes`` is ``split_primes(m, bound)``, M is the
+    product of all of them but the last, and omega is root_of_unity(m, p)
+    modulo each p dividing M (CRT), so zeta -> omega is a ring map
+    Z[zeta_m] -> Z/M.
 
     An integer c with |c| <= bound is then the symmetric lift of c mod M.
 
-    >>> M, w, count = split_modulus(12, 2**70)
-    >>> count, M == split_prime(12, 0) * split_prime(12, 1), split_modulus(12, 0)[2]
-    (2, True, 1)
+    >>> M, w, primes = split_modulus(12, 2**70)
+    >>> len(primes), M == split_prime(12, 0) * split_prime(12, 1), split_modulus(12, 0)[0] < 2**30
+    (3, True, True)
     >>> pow(w, 12, M), w % split_prime(12, 1) == root_of_unity(12, split_prime(12, 1))
     (1, True)
     """
-    modulus, omega, count = 1, 0, 0
-    while not count or modulus <= 2 * bound:
-        p = split_prime(m, count)
-        count += 1
+    modulus, omega = 1, 0
+    primes = split_primes(m, bound)
+    for p in primes[:-1]:
         omega += modulus * ((root_of_unity(m, p) - omega) * pow(modulus, -1, p) % p)
         modulus *= p
-    return modulus, omega, count
+    return modulus, omega, primes
 
 
 def l1(c: CycInt | int) -> int:

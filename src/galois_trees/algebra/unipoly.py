@@ -3,6 +3,14 @@
 Coefficients are stored ascending with trailing zeros trimmed.  The variable
 is conventionally called ``s`` (these polynomials hold zeta- and L-function
 reciprocals and their Taylor shifts).
+
+A product whose coefficients are ints, or ints and CycInts of one conductor
+m, is one big-int product (Kronecker substitution; Harvey, J. Symb. Comput.
+44, 2009): each operand's power-basis coordinates are packed into one int,
+2 phi(m) - 1 slots per power of s, each slot wide enough for the product's
+largest coordinate, and each s-coefficient read back is reduced mod Phi_m.
+Its coefficients are ints when both operands' are, else CycInts.  Fractions
+are multiplied term by term.
 """
 
 from __future__ import annotations
@@ -10,11 +18,43 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .cyclotomic import CycInt, jsonable_coefficient, ring_power
+from .cyclotomic import CycInt, euler_phi, jsonable_coefficient, ring_power
 
 
 def _zero(c) -> bool:
     return not c
+
+
+def _kronecker_product(a: tuple, b: tuple, m: int) -> list:
+    """The coefficients of a * b by one big-int product; ints when m is 0."""
+    phi = euler_phi(m) if m else 1
+    pad = (0,) * (phi - 1)  # a product of coordinate vectors has 2 phi - 1 slots
+
+    def coordinates(poly):
+        out = []
+        for c in poly:
+            out += (c.coeffs if isinstance(c, CycInt) else (c, *pad)) + pad
+        return out
+
+    xa, xb = coordinates(a), coordinates(b)
+    height = min(len(a), len(b)) * phi * max(map(abs, xa)) * max(map(abs, xb))
+    size = height.bit_length() // 8 + 1  # bytes a slot: 2^(8 size - 1) > height
+    stride = 2 * phi - 1
+    count = (len(a) + len(b) - 1) * stride
+    # every slot plus half = 2^(8 size - 1) lies in [0, 2^(8 size)): no borrows
+    half = 1 << (8 * size - 1)
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raw = (_pack(xa, size) * _pack(xb, size) + offset).to_bytes(size * count, "little")
+    slots = [int.from_bytes(raw[k:k + size], "little") - half for k in range(0, size * count, size)]
+    return [CycInt(m, slots[k:k + stride]) for k in range(0, count, stride)] if m else slots
+
+
+def _pack(values: list[int], size: int) -> int:
+    """The sum of values[k] * 2^(8 size k), from bytes of ``size`` apiece."""
+    zero = bytes(size)
+    pos = b"".join(c.to_bytes(size, "little") if c > 0 else zero for c in values)
+    neg = b"".join((-c).to_bytes(size, "little") if c < 0 else zero for c in values)
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
 class UniPoly:
@@ -85,6 +125,11 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly()
+        # the CycInt conductors among the coefficients, None for a Fraction
+        kinds = {c.conductor if isinstance(c, CycInt) else 0 if isinstance(c, int) else None
+                 for c in a + b} - {0}
+        if None not in kinds and len(kinds) < 2:
+            return UniPoly(_kronecker_product(a, b, max(kinds, default=0)))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not _zero(x):
@@ -102,7 +147,7 @@ class UniPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return not (self - other)
+        return self.coeffs == other.coeffs
 
     def __hash__(self):
         if len(self.coeffs) <= 1:  # a constant hashes like the scalar it equals

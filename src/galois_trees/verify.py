@@ -32,11 +32,10 @@ from .algebra.modular import (
     product_bound,
     root_of_unity,
     split_modulus,
-    split_prime,
     value_mod,
 )
 from .covers import Cover, CoverSpec, build_cover, is_connected_cover
-from .graphs import degree_sequence, genus
+from .graphs import degree_sequence
 from .groups import Character, characters
 from .jacobians import (
     JacobianGroup,
@@ -87,7 +86,8 @@ class VerificationReport:
             "cover": {
                 "vertices": len(self.cover.total.vertices),
                 "edges": len(self.cover.total.edges),
-                "genus": genus(self.cover.total),
+                # |E| - |V| + 1: verify_main_theorem has checked connectivity
+                "genus": len(self.cover.total.edges) - len(self.cover.total.vertices) + 1,
                 "degree_sequence": list(degree_sequence(self.cover.total)),
             },
             "base_tree_count": self.base_tree_count,
@@ -178,7 +178,7 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
     reports = tuple(found[rho] for rho in nontrivial)
     factors = [base_poly] + [rep.polynomial for rep in reports]
 
-    modulus, omega, used = split_modulus(m, product_bound(prefactor_num, factors))
+    modulus, omega, primes = split_modulus(m, product_bound(prefactor_num, factors))
     keys = PackedKeys(dict.fromkeys(spec.base.edges, n))
 
     def product_of(polys, root, mod):
@@ -187,7 +187,7 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
             out = mul_mod(out, keys.residues(poly, root, mod), mod)
         return out
 
-    p = split_prime(m, 0)
+    p, q = primes[0], primes[-1]
     j = next(iter(galois_exponents(m)[1:]), None)
     product = mul_mod({0: prefactor_num}, keys.residues(base_poly, omega, modulus), modulus)
     for rho, polys in orbits:
@@ -202,7 +202,6 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
 
     half = modulus // 2
     lifted = keys.unpack({k: c - modulus if c > half else c for k, c in product.items()})
-    q = split_prime(m, used)
     omega_q = root_of_unity(m, q)
     point = {v: 2 + i for i, v in enumerate(keys.unit)}
     expected = prefactor_num

@@ -17,7 +17,8 @@ place of rho.
 
 Every determinant is one ``det_over_ring`` call on a matrix over
 Z[zeta_m][s], taken modulo primes p ≡ 1 (mod m) under every embedding
-zeta -> omega^k and lifted by CRT.  I - W is I - diag(s^length) B: one
+zeta -> omega^k and lifted by CRT; the 2|E| x 2|E| edge matrix goes in as
+sparse rows {column: entry}.  I - W is I - diag(s^length) B: one
 Hessenberg reduction of the N x N unit-step edge matrix, N the total
 length, unless N^3 > (N + 1) n^3 with n = 2|E|; then, as for the
 three-term matrix, elimination at s = 0..d and interpolation.  An L
@@ -61,13 +62,10 @@ def _metric(g: Graph, lengths: Mapping[str, int] | None, value) -> UniPoly:
     lengths = edge_lengths(g, lengths)
     followers = _followers(g)
     index = {a: i for i, a in enumerate(followers)}
-    rows = []
+    rows = []  # {column: entry}: a row has one entry per follower, and the diagonal
     for a, after in followers.items():
-        minus_w = UniPoly.monomial(lengths[a[0]], -value(a))
-        row = [UniPoly()] * len(index)
-        for b in after:
-            row[index[b]] = minus_w
-        row[index[a]] = row[index[a]] + 1
+        row = dict.fromkeys((index[b] for b in after), UniPoly.monomial(lengths[a[0]], -value(a)))
+        row[index[a]] = row.get(index[a], UniPoly()) + 1
         rows.append(row)
     det = det_over_ring(rows)
     # an edgeless graph gives the 0x0 matrix, whose determinant is the int 1

@@ -24,7 +24,17 @@ from galois_trees import (
     weight_of_root,
 )
 from galois_trees.algebra import intmat
-from galois_trees.algebra.modular import charpoly_mod, det_mod, evaluate_mod, split_prime
+from galois_trees.algebra.modular import (
+    SMALL_PRIME_LIMIT,
+    charpoly_mod,
+    det_mod,
+    evaluate_mod,
+    is_prime,
+    root_of_unity,
+    split_modulus,
+    split_prime,
+    split_primes,
+)
 from galois_trees.errors import ExactDivisionError
 from helpers import count_calls
 
@@ -548,7 +558,7 @@ def test_det_over_ring_large_coefficients(m):
     rows = [[_random_entry(rng, m, 1, 2**50) for _ in range(n)] for _ in range(n)]
     got = det_over_ring(rows)
     assert got == _leibniz(rows, UniPoly.const(CycInt.from_int(m, 1)))
-    # more than two primes below 2^62 are needed to hold a coefficient this large
+    # more than two primes below 2^60 are needed to hold a coefficient this large
     assert max(abs(x) for c in got.coeffs for x in c.coeffs) > 2**125
 
 
@@ -580,9 +590,10 @@ def test_det_over_ring_checks_an_extra_prime(monkeypatch):
     exact = det_over_ring(rows)
     assert exact == _leibniz(rows, UniPoly.const(1))
     assert max(abs(c) for c in exact.coeffs) > 2**62
-    monkeypatch.setattr(intmat, "_det_bound", lambda entries, m: 1)  # one prime only
-    with pytest.raises(AssertionError, match="extra prime"):
-        det_over_ring(rows)
+    for bound in (1, 2**40):  # one prime only: below 2^30, then below 2^60
+        monkeypatch.setattr(intmat, "_det_bound", lambda entries, m: bound)
+        with pytest.raises(AssertionError, match="extra prime"):
+            det_over_ring(rows)
 
 
 def test_det_over_ring_extra_prime_check_survives_optimize():
@@ -590,12 +601,13 @@ def test_det_over_ring_extra_prime_check_survives_optimize():
         "import sys; sys.path[:0] = sys.argv[1:]\n"
         "from test_algebra import _big_polynomial_matrix\n"
         "from galois_trees.algebra import intmat\n"
-        "intmat._det_bound = lambda entries, m: 1\n"
-        "try:\n"
-        "    intmat.det_over_ring(_big_polynomial_matrix())\n"
-        "except AssertionError:\n"
-        "    sys.exit(0)\n"
-        "sys.exit('a wrong determinant passed the check')\n"
+        "for bound in (1, 2**40):  # one prime below 2^30, then one below 2^60\n"
+        "    intmat._det_bound = lambda entries, m: bound\n"
+        "    try:\n"
+        "        intmat.det_over_ring(_big_polynomial_matrix())\n"
+        "    except AssertionError:\n"
+        "        continue\n"
+        "    sys.exit('a wrong determinant passed the check')\n"
     )
     here = Path(__file__).resolve().parent
     src = Path(intmat.__file__).resolve().parent.parent.parent
@@ -619,7 +631,7 @@ def test_det_bound_covers_integer_determinants():
                  for _ in range(n)] for _ in range(n)]
         entries = [[x.coeffs for x in r] for r in rows]
         largest = max((abs(c) for c in _leibniz(rows, one).coeffs), default=0)
-        bound = intmat._det_bound(entries, 1)
+        bound = intmat._det_bound([{j: x for j, x in enumerate(r) if x} for r in entries], 1)
         assert bound >= largest
         l1 = [[sum(map(abs, x)) for x in r] for r in entries]
         tighter += bound < min(prod(map(sum, l1)), prod(map(sum, zip(*l1))))
@@ -721,8 +733,11 @@ def test_other_matrices_keep_interpolation(monkeypatch):
     s = UniPoly.monomial(1)
     one = UniPoly.const(1)
     calls = count_calls(monkeypatch, intmat, "charpoly_mod")
-    assert det_over_ring([[1 - 2 * s, -s], [-3 * s, 1 + s]]) == 1 - s - 5 * s**2
-    assert calls == [split_prime(1, 0)]  # the control: one prime, one embedding
+    control = [[1 - 2 * s, -s], [-3 * s, 1 + s]]
+    assert det_over_ring(control) == 1 - s - 5 * s**2
+    # the control: B = 15 < 2^29, so one prime below 2^30 and one embedding
+    assert intmat._det_bound([dict(enumerate(x.coeffs for x in r)) for r in control], 1) == 15
+    assert calls == [split_prime(1, 0, SMALL_PRIME_LIMIT)]
     calls.clear()
     for rows in (
         [[2 - s, -s], [-s, 1 - s]],  # a constant diagonal entry other than 1
@@ -732,6 +747,78 @@ def test_other_matrices_keep_interpolation(monkeypatch):
     ):
         assert det_over_ring(rows) == _leibniz(rows, one)
     assert not calls
+
+
+def test_det_over_ring_takes_sparse_rows():
+    s = UniPoly.monomial(1)
+    dense = [[1 - s, -s, UniPoly()], [UniPoly(), 1, -2 * s], [-s, UniPoly(), 1 - s]]
+    sparse = [{j: x for j, x in enumerate(r) if x} for r in dense]
+    assert det_over_ring(sparse) == det_over_ring(dense) == _leibniz(dense, UniPoly.const(1))
+    assert det_over_ring([{1: 2}, {0: 3}]) == -6
+    for rows in ([{0: 1}, {2: 1}], [{0: 1}, {-1: 1}]):
+        with pytest.raises(ValueError, match="outside"):
+            det_over_ring(rows)
+
+
+def _schoolbook(a, b):
+    """The product of two UniPolys term by term: the reference for the packed product."""
+    out = [0] * (len(a.coeffs) + len(b.coeffs) - 1) if a and b else []
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] = out[i + j] + x * y
+    return UniPoly(out)
+
+
+@given(st.sampled_from((None, 1, 3, 4, 5, 12, 105)), st.data())
+def test_packed_product_matches_schoolbook(m, data):
+    size = data.draw(st.sampled_from((3, 2**20, 2**70)))  # 2^70: above 2^64
+    integer = st.integers(-size, size)
+    coefficient = integer
+    if m is not None:
+        coefficient = integer | st.builds(lambda c: CycInt(m, c),
+                                          st.lists(integer, min_size=euler_phi(m), max_size=euler_phi(m)))
+    a, b = (UniPoly(data.draw(st.lists(coefficient, max_size=n))) for n in (6, 3))
+    got, want = a * b, _schoolbook(a, b)
+    assert got == want and b * a == want
+    if m is None:  # all ints: int coefficients
+        assert all(type(c) is int for c in got.coeffs)
+    elif any(isinstance(c, CycInt) for c in a.coeffs + b.coeffs):
+        assert all(isinstance(c, CycInt) and c.conductor == m for c in got.coeffs)
+
+
+def test_packed_product_fills_its_slots():
+    # equal coordinates c make the middle slot min(len) * phi(m) * c^2, the
+    # height the slot width is sized for; 2^62 <= c^2 puts it at 2^64 or above
+    for m in (None, 3, 12, 105):
+        for c in (2**31, -(2**31), 2**31 - 1, 3):
+            coefficient = c if m is None else CycInt(m, [c] * euler_phi(m))
+            a, b = UniPoly([coefficient] * 4), UniPoly([-coefficient] * 5)
+            assert a * b == _schoolbook(a, b) and a * a == _schoolbook(a, a)
+
+
+def test_split_primes_below_and_above_the_largest_small_prime():
+    for m in (1, 12, 105):
+        small = [split_prime(m, i, SMALL_PRIME_LIMIT) for i in (0, 1)]
+        large = [split_prime(m, i) for i in (0, 1)]
+        assert 2**29 < small[1] < small[0] < 2**30 and 2**59 < large[1] < large[0] < 2**60
+        assert all((p - 1) % m == 0 and is_prime(p) for p in small + large)
+        assert split_primes(m, (small[0] - 1) // 2) == small  # 2B = p - 1: p alone
+        assert split_primes(m, (small[0] + 1) // 2) == large  # 2B = p + 1: one of 2^60
+        M, omega, primes = split_modulus(m, (small[0] - 1) // 2)
+        assert (M, primes) == (small[0], small) and omega == root_of_unity(m, small[0])
+
+
+def test_split_prime_search_ends():
+    # the candidates below 2^60 for conductor 2^61 are 1 and then negative
+    with pytest.raises(ValueError, match="fewer than 1 primes"):
+        split_prime(2**61, 0)
+    with pytest.raises(ValueError, match="fewer than 1 primes"):
+        split_primes(2**61, 0)
+    # no prime 1 mod 2^29 + 1 lies between 2^29 and 2^30: primes below 2^60 instead
+    m = 2**29 + 1
+    with pytest.raises(ValueError):
+        split_prime(m, 0, SMALL_PRIME_LIMIT)
+    assert split_primes(m, 0) == [split_prime(m, 0), split_prime(m, 1)]
 
 
 def test_multipoly_division_with_cyclotomic_coefficients():

@@ -23,9 +23,11 @@ from galois_trees import (
     bases,
     characters,
     covers,
+    graphs,
     jacobian_polynomial,
     matroids,
     metric_l_reciprocal,
+    parse_spec,
     subgroup_from_generators,
     twisted_laplacian_det,
     verify,
@@ -34,7 +36,14 @@ from galois_trees import (
 )
 from galois_trees.cli import main
 from galois_trees.verify import CharacterReport
-from helpers import SPEC_DIR, dumbbell_graph, icosahedron_spec, random_cover_spec, theta_graph
+from helpers import (
+    SPEC_DIR,
+    count_calls,
+    dumbbell_graph,
+    icosahedron_spec,
+    random_cover_spec,
+    theta_graph,
+)
 
 ORBIT_GROUPS = (
     AbelianGroup((2, 4)),
@@ -156,9 +165,9 @@ def test_rhs_modulo_primes_matches_products_over_cyclotomic_integers(monkeypatch
     split_modulus = verify.split_modulus
 
     def counting(m, bound):
-        modulus, omega, count = split_modulus(m, bound)
-        primes_used.append(count)
-        return modulus, omega, count
+        modulus, omega, primes = split_modulus(m, bound)
+        primes_used.append(len(primes) - 1)  # the last prime is the extra check
+        return modulus, omega, primes
 
     monkeypatch.setattr(verify, "split_modulus", counting)
     rng = random.Random(23)
@@ -198,17 +207,14 @@ def test_rhs_takes_no_product_over_cyclotomic_integers(monkeypatch):
     assert cyclotomic == []
 
 
-def _bound_of_one(scale, factors):
-    return 1
-
-
 def test_a_bound_too_small_fails_the_extra_prime_check(monkeypatch):
     spec = theta_spec(30)  # coefficients of 67 bits before the division by 30
     _, _, _, rhs, _ = assemble_rhs(spec)
     assert max(abs(c) * 30 for c in rhs.terms.values()) > 2**62
-    monkeypatch.setattr(verify, "product_bound", _bound_of_one)  # one prime only
-    with pytest.raises(AssertionError, match="extra prime"):
-        assemble_rhs(spec)
+    for bound in (1, 2**40):  # one prime only: below 2^30, then below 2^60
+        monkeypatch.setattr(verify, "product_bound", lambda scale, factors: bound)
+        with pytest.raises(AssertionError, match="extra prime"):
+            assemble_rhs(spec)
 
 
 def _plant_in_conjugate(real_galois, k_planted):
@@ -236,7 +242,7 @@ def test_planted_conjugate_error_is_caught(monkeypatch):
 def test_rhs_checks_survive_optimize():
     script = (
         "import sys; sys.path[:0] = sys.argv[1:]\n"
-        "from test_verify import _bound_of_one, _plant_in_conjugate, theta_spec\n"
+        "from test_verify import _plant_in_conjugate, theta_spec\n"
         "from galois_trees import assemble_rhs, parse_spec, verify\n"
         "from helpers import SPEC_DIR\n"
         "def fails(spec, message):\n"
@@ -246,9 +252,10 @@ def test_rhs_checks_survive_optimize():
         "        return message in str(exc)\n"
         "    return False\n"
         "real_bound = verify.product_bound\n"
-        "verify.product_bound = _bound_of_one\n"
-        "if not fails(theta_spec(30), 'extra prime'):\n"
-        "    sys.exit('a bound too small passed the extra-prime check')\n"
+        "for bound in (1, 2**40):  # one prime below 2^30, then one below 2^60\n"
+        "    verify.product_bound = lambda scale, factors: bound\n"
+        "    if not fails(theta_spec(30), 'extra prime'):\n"
+        "        sys.exit('a bound too small passed the extra-prime check')\n"
         "verify.product_bound = real_bound\n"
         "verify.CharacterReport.galois = _plant_in_conjugate(verify.CharacterReport.galois, 2)\n"
         "if not fails(parse_spec((SPEC_DIR / 'icosahedron.json').read_text()), 'not rational'):\n"
@@ -304,3 +311,17 @@ def test_the_orbit_representative_is_not_mapped_by_sigma_1(monkeypatch):
     for spec in (theta_spec(12), klein):
         assert verify_main_theorem(spec).equal
     assert ks and 1 not in ks
+
+
+def test_connectivity_is_decided_once(monkeypatch):
+    """The genus in the report and in ``build`` is |E| - |V| + 1 of a cover
+    already found connected, with no second component search."""
+    path = SPEC_DIR / "icosahedron.json"
+    components = count_calls(monkeypatch, graphs, "connected_components")
+    report = verify_main_theorem(parse_spec(path.read_text()))
+    summary = report.summary()
+    assert len(components) == 1
+    components.clear()
+    result = CliRunner().invoke(main, ["build", str(path)])
+    assert result.exit_code == 0 and len(components) == 1
+    assert json.loads(result.output)["genus"] == summary["cover"]["genus"] == graphs.genus(report.cover.total)

@@ -26,6 +26,7 @@ from galois_trees import (
     weight_polynomial,
     zeta_leading_at_one,
 )
+from galois_trees.algebra import intmat, modular
 from helpers import (
     count_calls,
     dumbbell_graph,
@@ -379,9 +380,16 @@ def test_icosahedron_resolution_l_leading_consistency():
     assert coeff == expected
 
 
-def test_metric_zeta_of_a_32_edge_matrix_takes_one_prime(monkeypatch):
-    from galois_trees.algebra import intmat
+def _recorded_bounds(monkeypatch):
+    """The bound B of each ``det_over_ring`` call, as its primes are chosen for it."""
+    bounds, det_bound = [], intmat._det_bound
+    monkeypatch.setattr(
+        intmat, "_det_bound", lambda entries, m: (bounds.append(det_bound(entries, m)), bounds[-1])[1]
+    )
+    return bounds
 
+
+def test_metric_zeta_of_a_32_edge_matrix_takes_one_prime(monkeypatch):
     rng = random.Random(2)
     spec, cover = random_cover_spec(
         rng, free=True, max_vertices=3, max_edges=4, groups=(AbelianGroup((4,)),)
@@ -392,30 +400,34 @@ def test_metric_zeta_of_a_32_edge_matrix_takes_one_prime(monkeypatch):
         )
     lengths = {e: rng.randint(1, 2) for e in cover.total.edges}
     expected = metric_zeta_reciprocal(cover.total, lengths)
-    indices = []
-    find_prime = intmat.split_prime
+    bounds, indices = _recorded_bounds(monkeypatch), []
+    find_prime = modular.split_prime
+    # no limit argument: a call for a prime below 2^30 would raise TypeError
     monkeypatch.setattr(
-        intmat, "split_prime", lambda m, i: (indices.append(i), find_prime(m, i))[1]
+        modular, "split_prime", lambda m, i: (indices.append(i), find_prime(m, i))[1]
     )
     got = metric_zeta_reciprocal(cover.total, lengths)
     assert len(cover.total.edges) == 16 and got == expected
-    # the Hadamard bound fits one prime for the CRT; index 1 is the extra check
+    # the Hadamard bound B has 2^30 <= 2B < 2^59: no prime below 2^30 exceeds
+    # it and one prime below 2^60 does, for the CRT; index 1 is the extra check
+    assert len(bounds) == 1 and 2**30 <= 2 * bounds[0] < 2**59
     assert indices == [0, 1]
 
 
 def test_edge_matrix_determinant_is_one_charpoly_per_prime(monkeypatch):
-    from galois_trees.algebra import intmat
-
     spec = CoverSpec(
         base=theta_graph(), group=AbelianGroup((16,)), voltage={"f": (1,), "g": (3,)}
     )
     total = build_cover(spec).total
+    bounds = _recorded_bounds(monkeypatch)
     charpolys = count_calls(monkeypatch, intmat, "charpoly_mod")
     dets = count_calls(monkeypatch, intmat, "det_mod")
     zeta = metric_zeta_reciprocal(total)
-    # 96 x 96 at unit lengths: two primes and one embedding, then the check
-    assert charpolys == [intmat.split_prime(1, 0), intmat.split_prime(1, 1)]
-    assert dets == [intmat.split_prime(1, 2)]
+    # 96 x 96 at unit lengths, 2^60 <= 2B < 2^118: two primes below 2^60 and
+    # one embedding, then the check
+    assert len(bounds) == 1 and 2**60 <= 2 * bounds[0] < 2**118
+    assert charpolys == [modular.split_prime(1, 0), modular.split_prime(1, 1)]
+    assert dets == [modular.split_prime(1, 2)]
     product = UniPoly.const(1)
     for rho in characters(spec.group):
         product = product * metric_l_reciprocal(spec, rho)
