@@ -4,13 +4,14 @@ Coefficients are stored ascending with trailing zeros trimmed.  The variable
 is conventionally called ``s`` (these polynomials hold zeta- and L-function
 reciprocals and their Taylor shifts).
 
-A product whose coefficients are ints, or ints and CycInts of one conductor
-m, is one big-int product (Kronecker substitution; Harvey, J. Symb. Comput.
-44, 2009): each operand's power-basis coordinates are packed into one int,
-2 phi(m) - 1 slots per power of s, each slot wide enough for the product's
-largest coordinate, and each s-coefficient read back is reduced mod Phi_m.
-Its coefficients are ints when both operands' are, else CycInts.  Fractions
-are multiplied term by term.
+A product of ints and CycInts of one conductor m with more than one pair of
+terms, or of ints only with more than 256 (packing costs about 10 us, an int
+product well under 1 us, a CycInt one several), is one big-int product
+(Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009): each operand's
+power-basis coordinates fill 2 phi(m) - 1 slots per power of s, each wide
+enough for the product's largest coordinate, and each s-coefficient read
+back is reduced mod Phi_m, so all are CycInts, or ints for int operands.
+Other products, Fractions among them, are taken term by term.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class UniPoly:
         # the CycInt conductors among the coefficients, None for a Fraction
         kinds = {c.conductor if isinstance(c, CycInt) else 0 if isinstance(c, int) else None
                  for c in a + b} - {0}
-        if None not in kinds and len(kinds) < 2:
+        if None not in kinds and len(kinds) < 2 and len(a) * len(b) > (1 if kinds else 256):
             return UniPoly(_kronecker_product(a, b, max(kinds, default=0)))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):

@@ -24,7 +24,7 @@ from json.encoder import encode_basestring_ascii
 import click
 
 from .covers import build_cover, free_resolution, is_connected_cover
-from .graphs import degree_sequence
+from .graphs import _connected_genus, degree_sequence
 from .groups import characters
 from .jacobians import jacobian_group, jacobian_polynomial, specialized_jacobian_polynomial
 from .matroids import weight_polynomial
@@ -215,7 +215,7 @@ def build(spec):
         "degree_sequence": list(degree_sequence(cover.total)),
     }
     if payload["connected"]:
-        payload["genus"] = len(cover.total.edges) - len(cover.total.vertices) + 1
+        payload["genus"] = _connected_genus(cover.total)
     return payload
 
 

@@ -128,6 +128,11 @@ def genus(g: Graph) -> int:
     """First Betti number |E| - |V| + 1 of a connected graph."""
     if not is_connected(g):
         raise ValueError("genus is defined here for connected graphs only")
+    return _connected_genus(g)
+
+
+def _connected_genus(g: Graph) -> int:
+    """``genus`` of a graph already known to be connected, with no check."""
     return len(g.edges) - len(g.vertices) + 1
 
 

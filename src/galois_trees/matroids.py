@@ -36,7 +36,7 @@ from itertools import combinations
 
 from .algebra import CycInt, MultiPoly, weight_of_root
 from .covers import CoverSpec
-from .graphs import EdgeSubset, genus
+from .graphs import EdgeSubset, _connected_genus, genus
 from .groups import Character, subgroup_from_generators
 
 __all__ = [
@@ -215,7 +215,7 @@ def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
     m = spec.group.exponent
     seen = _seen_dilation(spec, image)
     edges = spec.base.edges
-    rank = len(edges) - len(spec.base.vertices) + len(seen)  # genus - 1 + #seen, base connected
+    rank = _connected_genus(spec.base) - 1 + len(seen)  # the base is connected by now
     arcs = [(e, *spec.base.ends[e], image(spec.voltage_on(e))) for e in edges]
     one = CycInt.from_int(m, 1)
     root_weight = {}

@@ -35,7 +35,7 @@ from .algebra.modular import (
     value_mod,
 )
 from .covers import Cover, CoverSpec, build_cover, is_connected_cover
-from .graphs import degree_sequence
+from .graphs import _connected_genus, degree_sequence
 from .groups import Character, characters
 from .jacobians import (
     JacobianGroup,
@@ -86,8 +86,7 @@ class VerificationReport:
             "cover": {
                 "vertices": len(self.cover.total.vertices),
                 "edges": len(self.cover.total.edges),
-                # |E| - |V| + 1: verify_main_theorem has checked connectivity
-                "genus": len(self.cover.total.edges) - len(self.cover.total.vertices) + 1,
+                "genus": _connected_genus(self.cover.total),  # verify_main_theorem checked it
                 "degree_sequence": list(degree_sequence(self.cover.total)),
             },
             "base_tree_count": self.base_tree_count,

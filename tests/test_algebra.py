@@ -761,12 +761,21 @@ def test_det_over_ring_takes_sparse_rows():
 
 
 def _schoolbook(a, b):
-    """The product of two UniPolys term by term: the reference for the packed product."""
+    """The product of two UniPolys term by term, zero terms skipped: the
+    reference for the packed product, values and coefficient types."""
     out = [0] * (len(a.coeffs) + len(b.coeffs) - 1) if a and b else []
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
-            out[i + j] = out[i + j] + x * y
+            if x and y:
+                out[i + j] = out[i + j] + x * y
     return UniPoly(out)
+
+
+def _is_packed(a, b):
+    """Whether a * b takes the Kronecker path: a CycInt and more than one
+    pair of terms, or ints only and more than 256 pairs."""
+    cyclotomic = any(isinstance(c, CycInt) for c in a.coeffs + b.coeffs)
+    return len(a.coeffs) * len(b.coeffs) > (1 if cyclotomic else 256)
 
 
 @given(st.sampled_from((None, 1, 3, 4, 5, 12, 105)), st.data())
@@ -777,13 +786,16 @@ def test_packed_product_matches_schoolbook(m, data):
     if m is not None:
         coefficient = integer | st.builds(lambda c: CycInt(m, c),
                                           st.lists(integer, min_size=euler_phi(m), max_size=euler_phi(m)))
-    a, b = (UniPoly(data.draw(st.lists(coefficient, max_size=n))) for n in (6, 3))
+    lengths = (20, 16) if m is None else (6, 3)  # up to 320 pairs of int terms
+    a, b = (UniPoly(data.draw(st.lists(coefficient, max_size=n))) for n in lengths)
     got, want = a * b, _schoolbook(a, b)
     assert got == want and b * a == want
-    if m is None:  # all ints: int coefficients
-        assert all(type(c) is int for c in got.coeffs)
-    elif any(isinstance(c, CycInt) for c in a.coeffs + b.coeffs):
-        assert all(isinstance(c, CycInt) and c.conductor == m for c in got.coeffs)
+    # the types of the term-by-term product, except that a packed product
+    # with a CycInt has CycInts throughout, also where only ints met
+    cyclotomic = any(isinstance(c, CycInt) for c in a.coeffs + b.coeffs)
+    packed = cyclotomic and _is_packed(a, b)
+    assert [type(c) for c in got.coeffs] == [CycInt if packed else type(c) for c in want.coeffs]
+    assert all(c.conductor == m for c in got.coeffs if isinstance(c, CycInt))
 
 
 def test_packed_product_fills_its_slots():
@@ -792,7 +804,8 @@ def test_packed_product_fills_its_slots():
     for m in (None, 3, 12, 105):
         for c in (2**31, -(2**31), 2**31 - 1, 3):
             coefficient = c if m is None else CycInt(m, [c] * euler_phi(m))
-            a, b = UniPoly([coefficient] * 4), UniPoly([-coefficient] * 5)
+            a, b = UniPoly([coefficient] * 17), UniPoly([-coefficient] * 18)
+            assert _is_packed(a, b) and _is_packed(a, a)
             assert a * b == _schoolbook(a, b) and a * a == _schoolbook(a, a)
 
 
