@@ -89,8 +89,6 @@ from .zeta import (
     l_leading_at_one,
     metric_l_reciprocal,
     metric_zeta_reciprocal,
-    twisted_adjacency,
-    twisted_laplacian,
     twisted_laplacian_det,
     zeta_leading_at_one,
 )

@@ -1,8 +1,8 @@
 """Command-line interface.
 
-Every command reads one specification file and writes JSON (default) or text
-to stdout.  Exit code 0 means success, and 1 only ever means that ``verify``
-decided "not equal".  Every malformed input exits 2: a spec file that cannot
+Every command reads one specification file and writes JSON to stdout.
+Exit code 0 means success, and 1 only ever means that ``verify`` decided
+"not equal".  Every malformed input exits 2: a spec file that cannot
 be read or parsed, a bad option value, or a spec the command cannot handle.
 Only an internal fault ends in a traceback (also exit 1), never a verdict.
 
@@ -109,15 +109,10 @@ def _write_json(value, pieces: list[str], lead: str, newline: str) -> None:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(payload: dict, fmt: str):
-    payload = {"schema": SCHEMA, **payload}
+def _emit(payload: dict):
     # explicit stream: click's cached default stdout never frees a CliRunner's
     out = click.get_text_stream("stdout")
-    if fmt == "json":
-        click.echo(json_text(payload), file=out)
-    else:
-        for key, value in payload.items():
-            click.echo(f"{key}: {value}", file=out)
+    click.echo(json_text({"schema": SCHEMA, **payload}), file=out)
 
 
 def _parse_lengths(spec, lengths: str | None):
@@ -147,9 +142,6 @@ def _character(spec, index: int):
     return chars[index]
 
 
-format_option = click.option(
-    "--format", "fmt", type=click.Choice(["json", "text"]), default="json"
-)
 character_option = click.option("--character", "index", type=int, required=True)
 lengths_option = click.option(
     "--lengths", default=None, help="edge=int,edge=int,... (default all 1)"
@@ -164,7 +156,7 @@ def main():
 def command(*options):
     """Register ``body(spec, **options) -> payload`` as a command of ``main``.
 
-    The command takes SPECFILE, the given options and ``--format``.  It parses
+    The command takes SPECFILE and the given options.  It parses
     the spec, runs the body and writes the payload.  A ValueError from either
     step, an unreadable file included, is written as ``error: ...`` to stderr
     with exit 2; a payload that decides ``"equal": false`` exits 1.
@@ -172,7 +164,7 @@ def command(*options):
 
     def register(body):
         @functools.wraps(body)
-        def run(specfile, fmt, **kwargs):
+        def run(specfile, **kwargs):
             try:
                 with open(specfile, "r", encoding="utf-8") as fh:
                     spec = parse_spec(fh.read())
@@ -180,11 +172,11 @@ def command(*options):
             except (OSError, ValueError) as exc:
                 click.echo(f"error: {exc}", err=True)
                 sys.exit(2)
-            _emit(payload, fmt)
+            _emit(payload)
             if payload.get("equal") is False:
                 sys.exit(1)
 
-        for decorator in (format_option, *reversed(options)):
+        for decorator in reversed(options):
             run = decorator(run)
         run = click.argument("specfile", type=click.Path(exists=True))(run)
         return main.command()(run)
@@ -196,12 +188,8 @@ def command(*options):
 def build(spec):
     """Construct the cover and print its shape."""
     cover = build_cover(spec)
-    reduced = [
-        e for e in sorted(spec.voltage)
-        if spec.group.reduce(spec.voltage[e]) != cover.spec.voltage_on(e)
-    ]
     payload = {
-        "normalized_voltages_on": reduced,
+        "normalized_voltages_on": list(cover.reduced_edges),
         "total": {
             "vertices": list(cover.total.vertices),
             "edges": [

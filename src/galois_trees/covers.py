@@ -5,7 +5,10 @@ dilation datum (a subgroup D(v) per vertex, trivial when absent), and a
 voltage assignment (a group element per edge, read against the canonical
 orientation and only meaningful modulo D(source) + D(target)).  A
 ``CoverSpec`` checks its ids and elements when it is made; ``validate_spec``
-only picks canonical voltage representatives (``build_cover`` calls it).
+only picks canonical voltage representatives (``build_cover`` calls it, and
+keeps the edges whose voltage changed on the ``Cover``).  Whether the cover
+is connected is read off the base, once per spec object
+(``CoverSpec.connected``); ``is_connected_cover`` searches a built cover.
 
 The total graph is built fiberwise: the fiber over a vertex v is the coset
 space G/D(v), the fiber over an edge is G itself, the source map forgets
@@ -25,6 +28,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, NamedTuple
 
 from .graphs import Graph, build_graph, contract, is_connected
@@ -43,17 +47,12 @@ from .groups import (
 class CoverSpec:
     """A cover specification, checked when made (ValueError): dilation ids are
     base vertices with subgroups of ``group``, voltage ids are base edges with
-    elements of the group's arity.  ``validate_spec`` normalizes it.
-
-    ``_connected`` is not an argument: it memoizes, per spec object, whether
-    the cover is connected, once ``matroids._require_usable`` has decided it
-    from base data (None until then)."""
+    elements of the group's arity.  ``validate_spec`` normalizes it."""
 
     base: Graph
     group: AbelianGroup
     dilation: dict[str, Subgroup] = field(default_factory=dict)
     voltage: dict[str, Element] = field(default_factory=dict)
-    _connected: bool | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for v, sub in self.dilation.items():
@@ -75,6 +74,58 @@ class CoverSpec:
 
     def is_free(self) -> bool:
         return all(sub.is_trivial() for sub in self.dilation.values())
+
+    @cached_property
+    def connected(self) -> bool:
+        """Whether the cover is connected, read off the base: no cover is built.
+
+        That is so exactly when the base is connected and its cycle voltages
+        together with the dilation subgroups generate G (Gross and Tucker,
+        Topological Graph Theory, 1987): one ``_deletion_components`` pass
+        and one subgroup closure, made once per spec object.
+        """
+        comps = _deletion_components(self, ())
+        if len(comps) != 1:
+            return False
+        gens = comps[0][1] + [d for sub in self.dilation.values() for d in sub.elements]
+        return subgroup_from_generators(self.group, gens).order == self.group.order
+
+
+def _deletion_components(spec: CoverSpec, removed) -> list[tuple[list[str], list]]:
+    """(vertices, cycle voltages) of each component of the base minus ``removed``.
+
+    One union-find pass over the kept edges.  A link from a root to its
+    parent carries the potential difference pot(root) - pot(parent); an
+    edge s -> t of voltage eta either links the roots of s and t so that
+    pot(t) = pot(s) + eta, or, inside one component, closes a cycle of
+    voltage pot(s) + eta - pot(t).  The cycles closed in a component form a
+    basis of its cycle space.
+    """
+    group = spec.group
+    up: dict[str, tuple[str, tuple]] = {}  # non-root -> (parent, pot difference)
+    members = {v: [v] for v in spec.base.vertices}
+    cycles: dict[str, list] = {v: [] for v in spec.base.vertices}
+
+    def find(v):
+        pot = group.zero()
+        while v in up:
+            v, step = up[v]
+            pot = group.add(pot, step)
+        return v, pot
+
+    for e in spec.base.edges:
+        if e in removed:
+            continue
+        s, t = spec.base.ends[e]
+        (rs, ps), (rt, pt) = find(s), find(t)
+        value = group.add(group.add(ps, spec.voltage_on(e)), group.neg(pt))
+        if rs == rt:
+            cycles[rs].append(value)
+        else:
+            up[rt] = (rs, value)
+            members[rs] += members.pop(rt)
+            cycles[rs] += cycles.pop(rt)
+    return [(members[r], cycles[r]) for r in members]
 
 
 class NormalizedSpec(NamedTuple):
@@ -135,8 +186,11 @@ def _translate(group: AbelianGroup, gelt: Element, label: str) -> str:
 class Cover:
     """A built cover: total graph, projection and local degrees.
 
-    No action table is stored: translations are computed from the ``e@a``
-    edge labels, which survive contraction (see ``_translate``).
+    ``spec`` is the normalized spec it was built from, and ``reduced_edges``
+    the edges whose voltage normalizing changed (``validate_spec``); a
+    contracted cover has neither.  No action table is stored: translations
+    are computed from the ``e@a`` edge labels, which survive contraction
+    (see ``_translate``).
     """
 
     total: Graph
@@ -146,6 +200,7 @@ class Cover:
     edge_map: dict[str, str]
     local_degrees: dict[str, int]
     spec: CoverSpec | None = None
+    reduced_edges: tuple[str, ...] = ()
 
     def vertex_fiber(self, v: str) -> tuple[str, ...]:
         return tuple(sorted(tv for tv, bv in self.vertex_map.items() if bv == v))
@@ -160,7 +215,7 @@ class Cover:
 
 def build_cover(spec: CoverSpec) -> Cover:
     """Construct the total graph of a cover specification fiber by fiber."""
-    spec = validate_spec(spec).spec
+    spec, reduced_edges = validate_spec(spec)
     g = spec.base
     group = spec.group
     elements = group.elements()
@@ -199,6 +254,7 @@ def build_cover(spec: CoverSpec) -> Cover:
         edge_map=edge_map,
         local_degrees=local_degrees,
         spec=spec,
+        reduced_edges=reduced_edges,
     )
 
 

@@ -11,6 +11,10 @@ edges of an edge ``e`` are ``(e, 0)`` (rooted at the source) and ``(e, 1)``
 (rooted at the target), and the involution swaps the two.  All ids are
 caller-supplied strings, and every enumeration is ordered lexicographically
 so results are reproducible across runs and platforms.
+
+One breadth-first search (``_search``) answers every reachability
+question: ``is_connected``, ``connected_components`` and the vertex order
+of the tree sweep (``_breadth_first``).
 """
 
 from __future__ import annotations
@@ -90,6 +94,18 @@ def _adjacency(g: Graph) -> dict[str, list[tuple[str, str]]]:
     return adj
 
 
+def _search(adj: dict[str, list[tuple[str, str]]], start: str) -> list[str]:
+    """The vertices reachable from ``start``, in breadth-first order."""
+    order = [start]
+    seen = {start}
+    for v in order:
+        for _, w in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                order.append(w)
+    return order
+
+
 def connected_components(g: Graph) -> list[Graph]:
     """Split a graph into its connected components, as graphs.
 
@@ -102,26 +118,20 @@ def connected_components(g: Graph) -> list[Graph]:
     for start in g.vertices:
         if start in seen:
             continue
-        stack = [start]
-        seen.add(start)
-        comp_vertices = []
-        while stack:
-            v = stack.pop()
-            comp_vertices.append(v)
-            for _, w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        vset = set(comp_vertices)
+        vset = set(_search(adj, start))
+        seen |= vset
         comp_edges = {e: g.ends[e] for e in g.edges if g.ends[e][0] in vset}
         parts.append(
-            Graph(tuple(sorted(comp_vertices)), tuple(sorted(comp_edges)), comp_edges)
+            Graph(tuple(sorted(vset)), tuple(sorted(comp_edges)), comp_edges)
         )
     return parts
 
 
 def is_connected(g: Graph) -> bool:
-    return len(connected_components(g)) == 1
+    """One search from the first vertex; no component graphs are built."""
+    if not g.vertices:
+        return False
+    return len(_search(_adjacency(g), g.vertices[0])) == len(g.vertices)
 
 
 def genus(g: Graph) -> int:
@@ -269,21 +279,10 @@ def _breadth_first(g: Graph) -> list[str]:
     the breadth-first levels, hence the sweep's frontier, narrow.
     """
     adj = _adjacency(g)
-
-    def search(start: str) -> list[str]:
-        order = [start]
-        seen = {start}
-        for v in order:
-            for _, w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-        return order
-
-    first = search(g.vertices[0])
+    first = _search(adj, g.vertices[0])
     if len(first) != len(g.vertices):
         raise ValueError("spanning trees require a connected graph")
-    return search(first[-1])
+    return _search(adj, first[-1])
 
 
 def tree_sweep(g: Graph, unit: Mapping[str, int]) -> dict[int, int]:

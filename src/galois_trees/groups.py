@@ -72,19 +72,20 @@ class Subgroup:
 
 
 def subgroup_from_generators(group: AbelianGroup, generators: Iterable[Element]) -> Subgroup:
-    """Smallest subgroup containing the generators (breadth-first closure)."""
-    gens = [group.reduce(g) for g in generators]
-    seen = {group.zero()}
-    frontier = [group.zero()]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                b = group.add(a, g)
-                if b not in seen:
-                    seen.add(b)
-                    nxt.append(b)
-        frontier = nxt
+    """Smallest subgroup containing the generators, grown one coset at a time:
+    a generator g outside the span H adds H + g, H + 2g, ... until a multiple
+    of g falls back into H.  H at least doubles at each such g, so fewer than
+    2|H| additions are made in all, however many generators are passed."""
+    span = [group.zero()]
+    seen = set(span)
+    for g in generators:
+        g = group.reduce(g)  # raises on a wrong arity
+        if g in seen:
+            continue
+        coset = span
+        while (coset := [group.add(a, g) for a in coset])[0] not in seen:
+            span += coset
+            seen.update(coset)
     return Subgroup(group, tuple(sorted(seen)))
 
 

@@ -14,14 +14,15 @@ voltage, an exact cyclotomic integer.  The oracle sees G through an image
 map (the character's value exponent, or "nonzero in G" for the untwisted
 matroid, ``character=None``) and runs one union-find over the kept edges
 with voltage potentials, the balance test of Zaslavsky's bias matroid
-(``_deletion_components``).  ``bases`` runs it on integer images mod m:
+(``covers._deletion_components``).  ``bases`` runs it on integer images mod m:
 a basis leaves exactly one root (a seen dilated vertex or a cycle of
 nonzero image) in each component, so a subset is dropped at the first kept
 edge that closes a cycle of image 0 or gives a component a second root.
 
-Every entry point first requires a connected cover (``_require_usable``).
-That is decided from base data once per spec object and kept on the spec,
-so the Galois orbits of one verification share one check.
+Every entry point first requires a connected cover (``_require_usable``):
+it reads ``CoverSpec.connected``, a property decided from base data once
+per spec object, so the Galois orbits of one verification, and the
+verification itself, share one check.
 
 Specs are taken as made, never normalized: changing a voltage by an element
 of D(source) + D(target) changes no cycle image in a component without a
@@ -35,9 +36,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import CycInt, MultiPoly, weight_of_root
-from .covers import CoverSpec
+from .covers import CoverSpec, _deletion_components
 from .graphs import EdgeSubset, _connected_genus, genus
-from .groups import Character, subgroup_from_generators
+from .groups import Character
 
 __all__ = [
     "TwistedMatroid",
@@ -52,65 +53,16 @@ __all__ = [
 ]
 
 
-def _deletion_components(spec: CoverSpec, removed) -> list[tuple[list[str], list]]:
-    """(vertices, cycle voltages) of each component of the base minus ``removed``.
-
-    One union-find pass over the kept edges.  A link from a root to its
-    parent carries the potential difference pot(root) - pot(parent); an
-    edge s -> t of voltage eta either links the roots of s and t so that
-    pot(t) = pot(s) + eta, or, inside one component, closes a cycle of
-    voltage pot(s) + eta - pot(t).  The cycles closed in a component form a
-    basis of its cycle space.
-    """
-    group = spec.group
-    up: dict[str, tuple[str, tuple]] = {}  # non-root -> (parent, pot difference)
-    members = {v: [v] for v in spec.base.vertices}
-    cycles: dict[str, list] = {v: [] for v in spec.base.vertices}
-
-    def find(v):
-        pot = group.zero()
-        while v in up:
-            v, step = up[v]
-            pot = group.add(pot, step)
-        return v, pot
-
-    for e in spec.base.edges:
-        if e in removed:
-            continue
-        s, t = spec.base.ends[e]
-        (rs, ps), (rt, pt) = find(s), find(t)
-        value = group.add(group.add(ps, spec.voltage_on(e)), group.neg(pt))
-        if rs == rt:
-            cycles[rs].append(value)
-        else:
-            up[rt] = (rs, value)
-            members[rs] += members.pop(rt)
-            cycles[rs] += cycles.pop(rt)
-    return [(members[r], cycles[r]) for r in members]
-
-
 def _require_usable(spec: CoverSpec, character: Character | None = None, trivial_error=None):
-    """The cover must be connected: read off the base, no cover is built.
-
-    The cover is connected exactly when the base is, and the fundamental
-    cycle voltages together with the dilation subgroups generate G.  That
-    verdict, either way, is decided by one ``_deletion_components`` pass
-    per spec object and kept on the spec (``CoverSpec._connected``); a
-    normalized spec is new on every ``build_cover``, so the memo lasts one
-    verification.  The trivial-group and ``trivial_error`` checks (the
-    latter rejects the trivial character) run on every call.
+    """The cover must be connected (``CoverSpec.connected``, decided from base
+    data once per spec object; a normalized spec is new on every
+    ``build_cover``, so the verdict lasts one verification).  The
+    trivial-group and ``trivial_error`` checks (the latter rejects the
+    trivial character) run on every call.
     """
     if spec.group.is_trivial():
         raise ValueError("the matroid of a trivial cover is undefined")
-    if spec._connected is None:
-        comps = _deletion_components(spec, set())
-        connected = len(comps) == 1
-        if connected:
-            gens = set(comps[0][1])
-            gens.update(d for sub in spec.dilation.values() for d in sub.elements)
-            connected = subgroup_from_generators(spec.group, gens).order == spec.group.order
-        object.__setattr__(spec, "_connected", connected)  # a memo on a frozen spec
-    if not spec._connected:
+    if not spec.connected:
         raise ValueError("the matroid requires a connected cover")
     if trivial_error and character is not None and character.is_trivial():
         raise ValueError(trivial_error)

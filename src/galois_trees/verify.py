@@ -16,7 +16,10 @@ taken modulo primes that split completely in Q(zeta_m), never in Z[zeta_m]
 (see ``assemble_rhs``).  The left side is computed from the built cover: its
 tree polynomial by the frontier sweep of ``graphs.tree_sweep`` when the tree
 count is small enough, and only the Smith-form tree count otherwise (then
-equality is decided at the integer level and reported as such).
+equality is decided at the integer level and reported as such).  Whether
+the cover is connected is decided once, from base data
+(``CoverSpec.connected`` on the normalized spec), and the per-character
+matroids read the same verdict; the built cover is not searched for it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .algebra.modular import (
     split_modulus,
     value_mod,
 )
-from .covers import Cover, CoverSpec, build_cover, is_connected_cover
+from .covers import Cover, CoverSpec, build_cover
 from .graphs import _connected_genus, degree_sequence
 from .groups import Character, characters
 from .jacobians import (
@@ -228,7 +231,7 @@ def verify_main_theorem(
         raise ValueError("verification needs a nontrivial group")
     cover = build_cover(spec)
     spec = cover.spec  # normalized once, by build_cover
-    if not is_connected_cover(cover):
+    if not spec.connected:  # read off the base; the matroids read the same verdict
         raise ValueError("verification needs a connected cover")
 
     base_poly, prefactor, reports, rhs, rhs_count = assemble_rhs(spec)

@@ -12,8 +12,11 @@ mismatch raises AssertionError; the reciprocal is 1.  Twisting by a
 character multiplies row e of W by the character value of e's voltage,
 read along e, and replaces A by A_rho; that is defined for covers with no
 dilation (honest coverings) only.  Each zeta reciprocal is the trivial
-character's case: one matrix builder serves both, with the value 1 in
-place of rho.
+character's case: each matrix is made by one function for both, with the
+value 1 in place of rho.  ``_adjacency`` gives A and A_rho as sparse rows, from
+which both three-term matrices and the twisted Laplacian Q - A_rho of
+``twisted_laplacian_det`` are stamped; a loop puts rho(eta) + rho(-eta)
+on the diagonal, which is 0 when rho(eta) = ±i.
 
 Every determinant is one ``det_over_ring`` call on a matrix over
 Z[zeta_m][s], taken modulo primes p ≡ 1 (mod m) under every embedding
@@ -33,7 +36,7 @@ from typing import Mapping
 
 from .algebra import CycInt, UniPoly, det_over_ring
 from .covers import CoverSpec
-from .graphs import Graph, edge_lengths, genus, is_connected, valency_adjacency
+from .graphs import Graph, edge_lengths, genus, is_connected
 from .groups import Character
 
 OrientedEdge = tuple[str, int]
@@ -77,13 +80,26 @@ def metric_zeta_reciprocal(g: Graph, lengths: Mapping[str, int] | None = None) -
     return _metric(g, lengths, lambda a: 1)
 
 
-def _three_term(g: Graph, adjacency) -> UniPoly:
+def _adjacency(g: Graph, value) -> list[dict]:
+    """A as sparse rows {column: entry}, vertices in order: an edge s -> t
+    adds value((e, 1)) at (s, t) and value((e, -1)) at (t, s), both on the
+    diagonal for a loop."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    rows: list[dict] = [{} for _ in index]
+    for e in g.edges:
+        i, j = (index[v] for v in g.ends[e])
+        rows[i][j] = rows[i].get(j, 0) + value((e, 1))
+        rows[j][i] = rows[j].get(i, 0) + value((e, -1))
+    return rows
+
+
+def _three_term(g: Graph, adjacency: list[dict]) -> UniPoly:
     """(1 - s^2)^(genus - 1) det(I - s A + s^2 (Q - I)) with A = adjacency."""
     if not is_connected(g):
         raise ValueError("zeta functions require a connected graph")
-    rows = [[-UniPoly.monomial(1, x) for x in row] for row in adjacency]
+    rows = [{j: UniPoly.monomial(1, -x) for j, x in row.items()} for row in adjacency]
     for i, v in enumerate(g.vertices):
-        rows[i][i] = rows[i][i] + UniPoly((1, 0, g.valency(v) - 1))
+        rows[i][i] = rows[i].get(i, UniPoly()) + UniPoly((1, 0, g.valency(v) - 1))
     det = det_over_ring(rows)
     one_minus_s2 = UniPoly((1, 0, -1))
     gg = genus(g)
@@ -99,7 +115,7 @@ def _three_term(g: Graph, adjacency) -> UniPoly:
 def ihara_zeta_reciprocal(g: Graph) -> UniPoly:
     """(1 - s^2)^(g-1) det(I - sA + s^2(Q - I)); equals the two-term form at
     unit lengths."""
-    return _three_term(g, valency_adjacency(g)[1])
+    return _three_term(g, _adjacency(g, lambda a: 1))
 
 
 def _require_free(spec: CoverSpec, rho: Character):
@@ -130,34 +146,10 @@ def metric_l_reciprocal(
     return _metric(spec.base, lengths, _oriented_values(spec, rho))
 
 
-def twisted_adjacency(spec: CoverSpec, rho: Character) -> list[list[CycInt]]:
-    """A_rho: each edge contributes its character value once, plus the
-    conjugate in the transposed slot (both on the diagonal for a loop)."""
-    g = spec.base
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    zero = CycInt.from_int(spec.group.exponent, 0)
-    a = [[zero] * len(idx) for _ in idx]
-    for e in g.edges:
-        s, t = g.ends[e]
-        val = rho.cyc_value(spec.voltage_on(e))
-        i, j = idx[s], idx[t]
-        a[i][j] = a[i][j] + val
-        a[j][i] = a[j][i] + val.conj()
-    return a
-
-
 def artin_l_reciprocal_three_term(spec: CoverSpec, rho: Character) -> UniPoly:
     """(1 - s^2)^(g-1) det(I - s A_rho + s^2 (Q - I)) for a dilation-free cover."""
     _require_free(spec, rho)
-    return _three_term(spec.base, twisted_adjacency(spec, rho))
-
-
-def twisted_laplacian(spec: CoverSpec, rho: Character) -> list[list[CycInt]]:
-    """Q - A_rho: the valencies on the diagonal, minus the twisted adjacency."""
-    laplacian = [[-x for x in row] for row in twisted_adjacency(spec, rho)]
-    for i, v in enumerate(spec.base.vertices):
-        laplacian[i][i] = laplacian[i][i] + spec.base.valency(v)
-    return laplacian
+    return _three_term(spec.base, _adjacency(spec.base, _oriented_values(spec, rho)))
 
 
 def twisted_laplacian_det(spec: CoverSpec, rho: Character) -> CycInt:
@@ -166,10 +158,15 @@ def twisted_laplacian_det(spec: CoverSpec, rho: Character) -> CycInt:
     _require_free(spec, rho)
     if rho.is_trivial():
         raise ValueError("the twisted Laplacian of the trivial character is singular")
-    if not is_connected(spec.base):
+    g = spec.base
+    if not is_connected(g):
         raise ValueError("the twisted Laplacian requires a connected base")
-    # CycInt entries, at least one row: the determinant is a CycInt
-    return det_over_ring(twisted_laplacian(spec, rho))
+    zero = CycInt.from_int(spec.group.exponent, 0)
+    rows = [{j: -x for j, x in row.items()} for row in _adjacency(g, _oriented_values(spec, rho))]
+    for i, v in enumerate(g.vertices):
+        rows[i][i] = rows[i].get(i, zero) + g.valency(v)
+    # a CycInt on every diagonal: the determinant is a CycInt
+    return det_over_ring(rows)
 
 
 def zeta_leading_at_one(

@@ -97,6 +97,20 @@ def test_build_icosahedron_cover():
     validate_cover(cover)
 
 
+def test_connectivity_of_a_fully_dilated_spec_is_linear_in_the_group(monkeypatch):
+    """Every element of both dilation subgroups goes to the subgroup closure,
+    which costs O(N) group additions, not O(N) per generator."""
+    group = AbelianGroup((120,))
+    full = subgroup_from_generators(group, [(1,)])
+    g = build_graph(["u", "w"], [("e", "u", "w"), ("f", "u", "w")])
+    spec = CoverSpec(base=g, group=group, dilation={"u": full, "w": full}, voltage={"f": (7,)})
+    adds = []
+    original = AbelianGroup.add
+    monkeypatch.setattr(AbelianGroup, "add", lambda self, a, b: (adds.append(a), original(self, a, b))[1])
+    assert spec.connected
+    assert len(adds) <= 2 * group.order
+
+
 def test_trivial_voltage_cover_is_disjoint_copies():
     g = theta_graph()
     for n in (2, 3):

@@ -2,9 +2,13 @@ import doctest
 import importlib
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
+from click.testing import CliRunner
+
 import galois_trees
+from galois_trees.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -24,3 +28,17 @@ def test_readme_python_example():
     assert blocks
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_commands_run(monkeypatch):
+    """Every ``galois-trees`` line of the README's "Command line" block exits 0
+    when run from the repository root."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"^```sh\n(.*?)^```", section, re.M | re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [words[1:] for words in lines if words[:1] == ["galois-trees"]]
+    assert len(commands) == len(block.splitlines())
+    monkeypatch.chdir(README.parent)
+    for args in commands:
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)

@@ -1,3 +1,4 @@
+import random
 from math import lcm, prod
 
 import pytest
@@ -24,6 +25,31 @@ def test_subgroup_from_generators_examples():
     klein = AbelianGroup((2, 2))
     full = subgroup_from_generators(klein, [(1, 0), (0, 1)])
     assert full.order == 4
+
+
+def _closure_reference(group, generators):
+    """Breadth-first closure: every generator added to every element found."""
+    gens = [group.reduce(g) for g in generators]
+    seen = {group.zero()}
+    frontier = [group.zero()]
+    while frontier:
+        frontier = {group.add(a, g) for a in frontier for g in gens} - seen
+        seen |= frontier
+    return tuple(sorted(seen))
+
+
+def test_subgroup_closure_matches_the_breadth_first_reference():
+    rng = random.Random(22)
+    for orders in [(2, 4), (3, 3), (2, 3, 4), (12,), (2, 2, 2), (6, 10), (1,), (5,)]:
+        group = AbelianGroup(orders)
+        for _ in range(50):
+            gens = [
+                tuple(rng.randrange(-2 * n, 2 * n) for n in orders)
+                for _ in range(rng.randrange(5))
+            ]
+            assert subgroup_from_generators(group, gens).elements == _closure_reference(group, gens)
+    with pytest.raises(ValueError, match="wrong arity"):
+        subgroup_from_generators(AbelianGroup((2, 4)), [(1, 0), (1,)])
 
 
 def test_subgroup_sum_examples():

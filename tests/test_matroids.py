@@ -359,20 +359,14 @@ def test_switching_leaves_twisted_matroids_unchanged():
 
 
 def test_bases_make_one_component_pass(monkeypatch):
-    calls = []
-    original = matroids._deletion_components
-
-    def counted(g, removed):
-        calls.append(set(removed))
-        return original(g, removed)
-
-    monkeypatch.setattr(matroids, "_deletion_components", counted)
+    oracle = count_calls(monkeypatch, matroids, "_deletion_components")
+    own = count_calls(monkeypatch, covers, "_deletion_components")
     spec = icosahedron_spec()
     matroid = bases(spec, characters(spec.group)[1])
     assert len(matroid.bases) == 13
-    # the subsets run on integer potentials: the one group-valued pass is the
-    # connectivity check
-    assert calls == [set()]
+    # the subsets run on integer potentials: bases makes no group-valued pass,
+    # and the spec's own connectivity pass, over every edge, is the only one
+    assert oracle == [] and own == [()]
 
 
 def complete_graph_spec(n: int, order: int) -> CoverSpec:
@@ -467,7 +461,7 @@ def test_matroids_and_l_functions_ignore_the_voltage_representative():
 
 
 def test_usability_is_decided_once_per_spec(monkeypatch):
-    passes = count_calls(monkeypatch, matroids, "_deletion_components")
+    passes = count_calls(monkeypatch, covers, "_deletion_components")
     spec = icosahedron_spec(8)
     rho, sigma = characters(spec.group)[1:3]
     bases(spec, rho)
@@ -477,7 +471,7 @@ def test_usability_is_decided_once_per_spec(monkeypatch):
 
 
 def test_usability_verdicts_are_kept_per_spec_object(monkeypatch):
-    passes = count_calls(monkeypatch, matroids, "_deletion_components")
+    passes = count_calls(monkeypatch, covers, "_deletion_components")
     spec = CoverSpec(base=theta_graph(), group=AbelianGroup((2,)))
     rho = characters(spec.group)[1]
     for call in (lambda: bases(spec, rho), lambda: weight_polynomial(spec, rho)) * 2:

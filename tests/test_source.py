@@ -49,6 +49,34 @@ def test_package_has_no_function_level_imports():
     assert found == []
 
 
+def test_frozen_objects_are_written_only_by_their_own_init():
+    """``object.__setattr__`` gets round a frozen class, so it may only set an
+    attribute of ``self`` inside ``__init__``, as the immutable algebra values
+    do; no module writes a field of another module's object."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        inits = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "__init__"
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object"
+            ):
+                target = node.args[0] if node.args else None
+                on_self = isinstance(target, ast.Name) and target.id == "self"
+                if id(node) not in inits or not on_self:
+                    found.append(f"{path.relative_to(PACKAGE)}:{node.lineno}")
+    assert found == []
+
+
 def test_cli_import_loads_no_new_module():
     """Start-up time is mostly import time, and what the package imports is
     the part of it the package controls: a fresh interpreter importing the

@@ -38,7 +38,6 @@ from galois_trees.cli import main
 from galois_trees.verify import CharacterReport
 from helpers import (
     SPEC_DIR,
-    count_calls,
     dumbbell_graph,
     icosahedron_spec,
     random_cover_spec,
@@ -315,13 +314,20 @@ def test_the_orbit_representative_is_not_mapped_by_sigma_1(monkeypatch):
 
 def test_connectivity_is_decided_once(monkeypatch):
     """The genus in the report and in ``build`` is |E| - |V| + 1 of a cover
-    already found connected, with no second component search."""
+    already found connected: ``verify`` decides it from base data and
+    searches the built cover never, ``build`` searches it once."""
     path = SPEC_DIR / "icosahedron.json"
-    components = count_calls(monkeypatch, graphs, "connected_components")
+    searched = []  # the number of vertices of every searched graph
+    original = graphs._search
+    monkeypatch.setattr(
+        graphs, "_search", lambda adj, start: (searched.append(len(adj)), original(adj, start))[1]
+    )
     report = verify_main_theorem(parse_spec(path.read_text()))
     summary = report.summary()
-    assert len(components) == 1
-    components.clear()
+    cover_size = len(report.cover.total.vertices)
+    assert cover_size > len(report.spec.base.vertices)
+    assert searched.count(cover_size) == 0
+    searched.clear()
     result = CliRunner().invoke(main, ["build", str(path)])
-    assert result.exit_code == 0 and len(components) == 1
+    assert result.exit_code == 0 and searched.count(cover_size) == 1
     assert json.loads(result.output)["genus"] == summary["cover"]["genus"] == graphs.genus(report.cover.total)

@@ -499,3 +499,46 @@ def test_determinant_on_a_tree_is_checked(monkeypatch):
         ihara_zeta_reciprocal(_trees()[1])
     with pytest.raises(AssertionError, match="on a tree"):
         artin_l_reciprocal_three_term(PATH_Z3, characters(PATH_Z3.group)[1])
+
+
+def test_twisted_laplacian_of_a_point_is_a_cycint():
+    """A one-vertex edgeless base has no entry to carry the conductor: the
+    diagonal still does (its Ihara reciprocal is checked with the trees)."""
+    spec = CoverSpec(base=_trees()[0], group=AbelianGroup((3,)))
+    det = twisted_laplacian_det(spec, characters(spec.group)[1])
+    assert isinstance(det, CycInt) and det == CycInt.from_int(3, 0)
+
+
+def _dense_three_term_and_laplacian(spec, rho):
+    """The two-vertex reference: dense A_rho, each edge's value at (s, t) and
+    its conjugate at (t, s); the 2 x 2 determinants written out."""
+    g = spec.base
+    assert len(g.vertices) == 2
+    idx = {v: i for i, v in enumerate(g.vertices)}
+    zero = CycInt.from_int(spec.group.exponent, 0)
+    a = [[zero, zero], [zero, zero]]
+    for e in g.edges:
+        s, t = (idx[v] for v in g.ends[e])
+        value = rho.cyc_value(spec.voltage_on(e))
+        a[s][t] = a[s][t] + value
+        a[t][s] = a[t][s] + value.conj()
+    q = [g.valency(v) for v in g.vertices]
+    m = [[(i == j) - a[i][j] * S + (i == j) * (q[i] - 1) * S**2 for j in (0, 1)] for i in (0, 1)]
+    laplacian = [[(i == j) * q[i] - a[i][j] for j in (0, 1)] for i in (0, 1)]
+    three_term = (m[0][0] * m[1][1] - m[0][1] * m[1][0]) * (1 - S**2) ** (genus(g) - 1)
+    return a, three_term, laplacian[0][0] * laplacian[1][1] - laplacian[0][1] * laplacian[1][0]
+
+
+def test_a_loop_of_value_i_cancels_its_diagonal_entry():
+    """rho(eta) + rho(-eta) = i - i = 0 on the loop: the sparse rows must
+    agree with the dense reference in both three-term forms and det(Q - A_rho)."""
+    g = build_graph(["u", "w"], [("l", "u", "u"), ("e", "u", "w"), ("f", "u", "w")])
+    spec = CoverSpec(base=g, group=AbelianGroup((4,)), voltage={"l": (1,), "f": (1,)})
+    trivial, rho = characters(spec.group)[:2]
+    a, three_term, laplacian_det = _dense_three_term_and_laplacian(spec, rho)
+    assert a[0][0] == 0 and a[0][1] == CycInt.from_int(4, 1) + CycInt.root(4, 1)
+    assert artin_l_reciprocal_three_term(spec, rho) == three_term == metric_l_reciprocal(spec, rho)
+    assert twisted_laplacian_det(spec, rho) == laplacian_det == 6
+    assert laplacian_det == weight_polynomial(spec, rho).scalar
+    _, ihara, _ = _dense_three_term_and_laplacian(spec, trivial)
+    assert ihara_zeta_reciprocal(g) == ihara == metric_zeta_reciprocal(g)
