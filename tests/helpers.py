@@ -11,6 +11,7 @@ from galois_trees import (
     CoverSpec,
     build_cover,
     build_graph,
+    graphs,
     is_connected_cover,
     jacobian_group,
     subgroup_from_generators,
@@ -180,3 +181,15 @@ def count_calls(monkeypatch, module, name):
     original = getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: (calls.append(args[-1]), original(*args))[1])
     return calls
+
+
+def count_searches(monkeypatch):
+    """Wrap ``graphs._search``, the one graph search behind ``is_connected``,
+    ``connected_components`` and the tree sweep, so that every search appends
+    the number of vertices of the graph it searched to the returned list."""
+    searched = []
+    original = graphs._search
+    monkeypatch.setattr(
+        graphs, "_search", lambda adj, start: (searched.append(len(adj)), original(adj, start))[1]
+    )
+    return searched

@@ -31,6 +31,7 @@ from galois_trees.algebra.modular import root_of_unity, split_prime
 from galois_trees.errors import ExactDivisionError
 from helpers import (
     count_calls,
+    count_searches,
     dumbbell_graph,
     dumbbell_z6_spec,
     icosahedron_spec,
@@ -448,8 +449,14 @@ def test_tree_polynomials_refuse_a_disconnected_cover_in_the_sweep():
 
 
 def test_tree_polynomial_makes_no_components_pass(monkeypatch):
+    """The sweep decides connectivity itself: its two breadth-first searches
+    per call are the only searches of the cover, so any extra connectivity
+    pass (``is_connected`` or ``connected_components``) fails the count."""
     cover = build_cover(icosahedron_spec())
     calls = count_calls(monkeypatch, graphs, "connected_components")
+    searched = count_searches(monkeypatch)
     assert labeled_jacobian_polynomial(cover.total, cover.edge_map).value_at_ones() == 5_184_000
+    assert searched == [len(cover.total.vertices)] * 2
     assert specialized_jacobian_polynomial(cover).value_at_ones() == 5_184_000
+    assert searched == [len(cover.total.vertices)] * 4
     assert calls == []

@@ -38,6 +38,7 @@ from galois_trees.cli import main
 from galois_trees.verify import CharacterReport
 from helpers import (
     SPEC_DIR,
+    count_searches,
     dumbbell_graph,
     icosahedron_spec,
     random_cover_spec,
@@ -317,11 +318,7 @@ def test_connectivity_is_decided_once(monkeypatch):
     already found connected: ``verify`` decides it from base data and
     searches the built cover never, ``build`` searches it once."""
     path = SPEC_DIR / "icosahedron.json"
-    searched = []  # the number of vertices of every searched graph
-    original = graphs._search
-    monkeypatch.setattr(
-        graphs, "_search", lambda adj, start: (searched.append(len(adj)), original(adj, start))[1]
-    )
+    searched = count_searches(monkeypatch)
     report = verify_main_theorem(parse_spec(path.read_text()))
     summary = report.summary()
     cover_size = len(report.cover.total.vertices)
