@@ -11,7 +11,6 @@ polynomial identity.
 from .algebra import (
     CycInt,
     MultiPoly,
-    SmithForm,
     UniPoly,
     cyclotomic_polynomial,
     det_over_ring,

@@ -2,6 +2,10 @@
 
 Everything here uses arbitrary-precision Python integers; cofactors of
 Laplacians overflow 64 bits already at modest sizes, so no numpy.
+A Smith normal form is returned as its diagonal only, the invariant
+factors, which is all that a group order or structure needs:
+``smith_diagonal`` takes unit pivots on sparse rows, then the dense
+``smith_normal_form`` finishes the remainder.
 ``det_over_ring`` works modulo primes (``modular``) and lifts by CRT: by a
 Hessenberg reduction for I - diag(s^l) B, by interpolation otherwise.
 """
@@ -9,9 +13,8 @@ Hessenberg reduction for I - diag(s^l) B, by interpolation otherwise.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import isqrt, prod
 
 from .cyclotomic import CycInt, euler_phi
@@ -57,125 +60,66 @@ def int_det(rows: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithForm:
-    """Diagonal of the Smith normal form, plus optional unimodular transforms.
+def smith_normal_form(rows: list[list[int]]) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form of an integer matrix: the invariant
+    factors d1 | d2 | ..., nonnegative, zeros after the rank, min(rows,
+    columns) of them.
 
-    The diagonal is a nonnegative divisibility chain d1 | d2 | ...; when
-    transforms are retained, left @ M @ right equals the diagonal matrix.
+    The least nonzero |entry| moves to the corner as the pivot.  Row
+    operations reduce its column and column operations its row; a nonzero
+    remainder is smaller than the pivot and becomes the next one.  Once
+    both are clear, a row holding an entry the pivot does not divide is
+    added to the pivot row; otherwise |pivot| is emitted and its row and
+    column are dropped.  This dense routine is the remainder step of
+    ``smith_diagonal``, and the tests' reference for it.
+
+    >>> smith_normal_form([[2, 4], [6, 8]])
+    (2, 4)
     """
-
-    diagonal: tuple[int, ...]
-    left: tuple[tuple[int, ...], ...] | None = None
-    right: tuple[tuple[int, ...], ...] | None = None
-
-
-def smith_normal_form(rows: list[list[int]], transforms: bool = False) -> SmithForm:
     a = [list(map(int, r)) for r in rows]
-    nr = len(a)
-    nc = len(a[0]) if nr else 0
+    nc = len(a[0]) if a else 0
     if any(len(r) != nc for r in a):
         raise ValueError("ragged matrix")
-    left = [[int(i == j) for j in range(nr)] for i in range(nr)] if transforms else None
-    right = [[int(i == j) for j in range(nc)] for i in range(nc)] if transforms else None
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if left is not None:
-            left[i], left[j] = left[j], left[i]
-
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        if right is not None:
-            for r in right:
-                r[i], r[j] = r[j], r[i]
-
-    def add_row(dst, src, q):
-        ar, sr = a[dst], a[src]
-        for j in range(nc):
-            ar[j] += q * sr[j]
-        if left is not None:
-            lr, ls = left[dst], left[src]
-            for j in range(nr):
-                lr[j] += q * ls[j]
-
-    def add_col(dst, src, q):
-        for r in a:
-            r[dst] += q * r[src]
-        if right is not None:
-            for r in right:
-                r[dst] += q * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if left is not None:
-            left[i] = [-x for x in left[i]]
-
-    t = 0
-    while t < min(nr, nc):
-        # pivot: minimal nonzero absolute value in the working submatrix
-        pivot = None
-        for i in range(t, nr):
-            for j in range(t, nc):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        while True:
-            i, j = pivot
-            if i != t:
-                swap_rows(t, i)
-            if j != t:
-                swap_cols(t, j)
-            p = a[t][t]
-            dirty = False
-            for i in range(t + 1, nr):
-                if a[i][t]:
-                    add_row(i, t, -(a[i][t] // p))
-                    if a[i][t]:
-                        dirty = True
-            for j in range(t + 1, nc):
-                if a[t][j]:
-                    add_col(j, t, -(a[t][j] // p))
-                    if a[t][j]:
-                        dirty = True
-            if not dirty:
-                # row and column are clear; enforce divisibility of the rest
-                bad = None
-                for i in range(t + 1, nr):
-                    for j in range(t + 1, nc):
-                        if a[i][j] % p:
-                            bad = i
-                            break
-                    if bad is not None:
-                        break
-                if bad is None:
-                    break
-                add_row(t, bad, 1)
-            pivot = None
-            for i in range(t, nr):
-                for j in range(t, nc):
-                    if a[i][j] != 0 and (
-                        pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])
-                    ):
-                        pivot = (i, j)
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    diag = tuple(a[i][i] for i in range(min(nr, nc)))
-    if transforms:
-        return SmithForm(
-            diag,
-            tuple(tuple(r) for r in left),
-            tuple(tuple(r) for r in right),
-        )
-    return SmithForm(diag)
+    size = min(len(a), nc)
+    diagonal = []
+    while least := min(map(abs, filter(None, chain.from_iterable(a))), default=0):
+        for i, row in enumerate(a):
+            if least in row or -least in row:
+                break
+        j = row.index(least) if least in row else row.index(-least)
+        a[0], a[i] = a[i], a[0]
+        if j:
+            for r in a:
+                r[0], r[j] = r[j], r[0]
+        top, *rest = a
+        p = top[0]
+        # every nonzero entry is at least |p|, so a nonzero one gets a nonzero q
+        dirty = False
+        for r in rest:
+            if q := r[0] // p:
+                for k, x in enumerate(top):
+                    r[k] -= q * x
+                dirty = dirty or r[0]
+        for k in range(1, len(top)):
+            if q := top[k] // p:
+                for r in a:
+                    r[k] -= q * r[0]
+                dirty = dirty or top[k]
+        if dirty:
+            continue
+        for r in rest:
+            if any(x % p for x in r):
+                for k, x in enumerate(r):
+                    top[k] += x
+                break
+        else:
+            diagonal.append(least)
+            a = [r[1:] for r in rest]
+    return tuple(diagonal) + (0,) * (size - len(diagonal))
 
 
 def smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
-    """``smith_normal_form(rows).diagonal``, taking the unit pivots first.
+    """``smith_normal_form(rows)``, taking the unit pivots first.
 
     The rows are kept sparse, and each step pivots on a ±1 entry of least
     Markowitz cost (row nonzeros − 1)·(column nonzeros − 1), which limits
@@ -262,7 +206,7 @@ def _sparse_smith_diagonal(rows: list[dict[int, int]], nc: int) -> tuple[int, ..
         units += 1
     cols = sorted(j for bucket in col_bucket.values() for j in bucket)
     rest = [[row.get(j, 0) for j in cols] for row in live.values()]
-    return (1,) * units + smith_normal_form(rest).diagonal
+    return (1,) * units + smith_normal_form(rest)
 
 
 def _unit_pivot(live, holders, row_bucket, col_bucket, top) -> tuple[int, int] | None:

@@ -28,7 +28,7 @@ from .graphs import _connected_genus, degree_sequence
 from .groups import characters
 from .jacobians import jacobian_group, jacobian_polynomial, specialized_jacobian_polynomial
 from .matroids import weight_polynomial
-from .specfile import parse_spec, spec_to_dict
+from .specfile import SCHEMA, parse_spec, spec_to_dict
 from .verify import verify_main_theorem
 from .zeta import (
     artin_l_reciprocal_three_term,
@@ -37,8 +37,6 @@ from .zeta import (
     metric_l_reciprocal,
     metric_zeta_reciprocal,
 )
-
-SCHEMA = "galois-trees/1"
 
 _SCALARS = {True: "true", False: "false", None: "null"}
 
@@ -128,10 +126,11 @@ def _parse_lengths(spec, lengths: str | None):
             raise ValueError(f"unknown edge {e!r} in --lengths")
         if e in out:
             raise ValueError(f"edge {e!r} given twice in --lengths")
-        try:
-            out[e] = int(raw)
-        except ValueError:
+        # ASCII digits only: int() would also take "1_0", " 1" and "١"
+        digits = raw.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
             raise click.UsageError(f"bad length {part!r}; expected edge=int")
+        out[e] = int(raw)
     return out
 
 

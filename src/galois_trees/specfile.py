@@ -22,6 +22,8 @@ from .errors import SpecFormatError
 from .graphs import build_graph
 from .groups import AbelianGroup, minimal_generators, subgroup_from_generators
 
+SCHEMA = "galois-trees/1"  # the "schema" entry of every document written
+
 _IGNORED_KEYS = {"schema", "name", "comment"}
 _KNOWN_KEYS = {"vertices", "edges", "group", "dilation", "voltage"} | _IGNORED_KEYS
 
@@ -111,7 +113,7 @@ def parse_spec(document: str | Mapping) -> CoverSpec:
 
 def spec_to_dict(spec: CoverSpec) -> dict:
     return {
-        "schema": "galois-trees/1",
+        "schema": SCHEMA,
         "vertices": list(spec.base.vertices),
         "edges": [
             {"id": e, "src": spec.base.ends[e][0], "tgt": spec.base.ends[e][1]}

@@ -47,6 +47,7 @@ from .jacobians import (
     specialized_jacobian_polynomial,
 )
 from .matroids import WeightReport, weight_polynomial
+from .specfile import SCHEMA
 
 DEFAULT_ENUMERATION_CAP = 200_000
 
@@ -85,7 +86,7 @@ class VerificationReport:
 
     def summary(self) -> dict:
         return {
-            "schema": "galois-trees/1",
+            "schema": SCHEMA,
             "cover": {
                 "vertices": len(self.cover.total.vertices),
                 "edges": len(self.cover.total.edges),

@@ -36,7 +36,7 @@ from typing import Mapping
 
 from .algebra import CycInt, UniPoly, det_over_ring
 from .covers import CoverSpec
-from .graphs import Graph, edge_lengths, genus, is_connected
+from .graphs import Graph, _connected_genus, edge_lengths, genus, is_connected
 from .groups import Character
 
 OrientedEdge = tuple[str, int]
@@ -58,10 +58,15 @@ def _followers(g: Graph) -> dict[OrientedEdge, list[OrientedEdge]]:
     }
 
 
-def _metric(g: Graph, lengths: Mapping[str, int] | None, value) -> UniPoly:
-    """det(I - W), W[a][b] = value(a) * s^(length of a) when b follows a."""
+def _require_connected(g: Graph):
+    """Refuse a disconnected graph: the one search a zeta function makes."""
     if not is_connected(g):
         raise ValueError("zeta functions require a connected graph")
+
+
+def _metric(g: Graph, lengths: Mapping[str, int] | None, value) -> UniPoly:
+    """det(I - W), W[a][b] = value(a) * s^(length of a) when b follows a;
+    the callers have checked that g is connected."""
     lengths = edge_lengths(g, lengths)
     followers = _followers(g)
     index = {a: i for i, a in enumerate(followers)}
@@ -77,6 +82,7 @@ def _metric(g: Graph, lengths: Mapping[str, int] | None, value) -> UniPoly:
 
 def metric_zeta_reciprocal(g: Graph, lengths: Mapping[str, int] | None = None) -> UniPoly:
     """det(I - W) with entries s^(edge length): the metric zeta reciprocal."""
+    _require_connected(g)
     return _metric(g, lengths, lambda a: 1)
 
 
@@ -95,14 +101,13 @@ def _adjacency(g: Graph, value) -> list[dict]:
 
 def _three_term(g: Graph, adjacency: list[dict]) -> UniPoly:
     """(1 - s^2)^(genus - 1) det(I - s A + s^2 (Q - I)) with A = adjacency."""
-    if not is_connected(g):
-        raise ValueError("zeta functions require a connected graph")
+    _require_connected(g)
     rows = [{j: UniPoly.monomial(1, -x) for j, x in row.items()} for row in adjacency]
     for i, v in enumerate(g.vertices):
         rows[i][i] = rows[i].get(i, UniPoly()) + UniPoly((1, 0, g.valency(v) - 1))
     det = det_over_ring(rows)
     one_minus_s2 = UniPoly((1, 0, -1))
-    gg = genus(g)
+    gg = _connected_genus(g)
     if gg >= 1:
         return det * one_minus_s2 ** (gg - 1)
     # a tree: no closed reduced walks, and A_rho is A conjugated by a diagonal
@@ -143,6 +148,7 @@ def metric_l_reciprocal(
     """det(I - W_rho) for a dilation-free cover; the trivial character gives
     back the metric zeta reciprocal."""
     _require_free(spec, rho)
+    _require_connected(spec.base)
     return _metric(spec.base, lengths, _oriented_values(spec, rho))
 
 
@@ -187,6 +193,7 @@ def l_leading_at_one(
     _require_free(spec, rho)
     if rho.is_trivial():
         raise ValueError("use the zeta expansion for the trivial character")
+    _require_connected(spec.base)
     det = _metric(spec.base, lengths, _oriented_values(spec, rho))
     order, coeff = det.vanishing_order_at_one()
     if isinstance(coeff, int):

@@ -77,6 +77,16 @@ def test_frozen_objects_are_written_only_by_their_own_init():
     assert found == []
 
 
+def test_schema_literal_is_written_once():
+    """Every document carries ``specfile.SCHEMA``; no other module spells it out."""
+    found = [
+        str(path.relative_to(PACKAGE))
+        for path in sorted(PACKAGE.rglob("*.py"))
+        if "galois-trees/1" in path.read_text(encoding="utf-8")
+    ]
+    assert found == ["specfile.py"]
+
+
 def test_cli_import_loads_no_new_module():
     """Start-up time is mostly import time, and what the package imports is
     the part of it the package controls: a fresh interpreter importing the

@@ -364,6 +364,21 @@ def test_cli_lengths_reject_a_repeated_edge():
         assert "'e' given twice" in result.output
 
 
+def test_cli_lengths_take_ascii_digits_only():
+    runner = CliRunner()
+    theta = str(SPEC_DIR / "theta.json")
+    # int() reads all of these as a length
+    for lengths in ("e=1_0", "e=\u0661", "e= 1", "e=+1"):
+        result = runner.invoke(main, ["zeta", theta, "--lengths", lengths])
+        assert result.exit_code == 2, (lengths, result.output)
+        assert "bad length" in result.output
+    result = runner.invoke(main, ["zeta", theta, "--lengths", "e=-1"])
+    assert result.exit_code == 2, result.output
+    assert "must be a positive integer" in result.output
+    result = runner.invoke(main, ["zeta", theta, "--lengths", "e=2,f=1,g=1"])
+    assert result.exit_code == 0, result.output
+
+
 def test_cli_rejects_booleans_as_ints(tmp_path):
     runner = CliRunner()
     for k, document in enumerate(BOOLEAN_INT_SPECS):

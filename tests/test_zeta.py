@@ -29,6 +29,7 @@ from galois_trees import (
 from galois_trees.algebra import intmat, modular
 from helpers import (
     count_calls,
+    count_searches,
     dumbbell_graph,
     dumbbell_z6_spec,
     icosahedron_spec,
@@ -232,6 +233,20 @@ def test_zeta_taylor_matches_tree_polynomial():
 def test_zeta_taylor_rejects_low_genus():
     with pytest.raises(ValueError, match="genus"):
         zeta_leading_at_one(build_graph(["v"], [("e", "v", "v")]))
+
+
+def test_three_term_forms_and_leading_order_search_the_graph_once(monkeypatch):
+    spec = CoverSpec(base=theta_graph(), group=AbelianGroup((3,)), voltage={"f": (1,)})
+    rho = characters(spec.group)[1]
+    searched = count_searches(monkeypatch)
+    for call in (
+        lambda: ihara_zeta_reciprocal(spec.base),
+        lambda: artin_l_reciprocal_three_term(spec, rho),
+        lambda: zeta_leading_at_one(spec.base),
+    ):
+        searched.clear()
+        call()
+        assert searched == [2]  # the connectivity check; the genus is read after it
 
 
 def test_l_taylor_matches_weight_polynomial():
