@@ -70,7 +70,6 @@ from .jacobians import (
 )
 from .matroids import (
     TwistedMatroid,
-    WeightReport,
     bases,
     basis_weight,
     is_independent,

@@ -230,10 +230,10 @@ def matroid(spec, index):
     report = weight_polynomial(spec, rho)
     return {
         "character_exponents": list(rho.exponents),
-        "rank": report.matroid.rank,
+        "rank": report.rank,
         "bases": [
             {"edges": list(basis), "weight": weight.to_jsonable()}
-            for basis, weight in zip(report.matroid.bases, report.matroid.weights)
+            for basis, weight in zip(report.bases, report.weights)
         ],
         "weight_polynomial": report.polynomial.to_jsonable(),
         "scalar_weight": report.scalar.to_jsonable(),

@@ -28,11 +28,17 @@ Specs are taken as made, never normalized: changing a voltage by an element
 of D(source) + D(target) changes no cycle image in a component without a
 seen dilated vertex, so neither independence nor any weight depends on the
 coset representative.
+
+One record, ``TwistedMatroid``, carries a character's bases and weights from
+``bases`` to every report; the weight polynomial and its value at 1 are read
+off them, and ``galois(k)`` makes the record of rho^k (same kernel, same
+bases, P_{rho^k} = sigma_k(P_rho)) by one sigma_k pass over the weights.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import combinations
 
 from .algebra import CycInt, MultiPoly, weight_of_root
@@ -42,7 +48,6 @@ from .groups import Character
 
 __all__ = [
     "TwistedMatroid",
-    "WeightReport",
     "bases",
     "basis_weight",
     "is_independent",
@@ -133,11 +138,30 @@ def matroid_rank(spec: CoverSpec, character: Character | None = None) -> int:
 
 @dataclass(frozen=True)
 class TwistedMatroid:
+    """Bases of one character's matroid in lexicographic order, with their weights."""
+
     spec: CoverSpec
-    character: Character | None
+    character: Character
     rank: int
     bases: tuple[EdgeSubset, ...]
     weights: tuple[CycInt, ...]
+
+    @cached_property
+    def polynomial(self) -> MultiPoly:
+        """Basis-generating polynomial with cyclotomic weights."""
+        return MultiPoly(
+            {tuple((e, 1) for e in b): w for b, w in zip(self.bases, self.weights)}
+        )
+
+    @cached_property
+    def scalar(self) -> CycInt:
+        """The weight polynomial at 1: the sum of the weights."""
+        return sum(self.weights, CycInt.from_int(self.spec.group.exponent, 0))
+
+    def galois(self, k: int) -> TwistedMatroid:
+        """The matroid of rho^k: rho's bases and rank, every weight mapped by sigma_k."""
+        weights = tuple(w.galois(k) for w in self.weights)
+        return replace(self, character=self.character.power(k), weights=weights)
 
 
 def basis_weight(spec: CoverSpec, character: Character, basis) -> CycInt:
@@ -234,18 +258,4 @@ def max_independent_size(spec: CoverSpec, character: Character | None = None) ->
     raise AssertionError("even the empty set is dependent")
 
 
-@dataclass(frozen=True)
-class WeightReport:
-    matroid: TwistedMatroid
-    polynomial: MultiPoly
-    scalar: CycInt
-
-
-def weight_polynomial(spec: CoverSpec, character: Character) -> WeightReport:
-    """Basis-generating polynomial with cyclotomic weights, and its value at 1."""
-    matroid = bases(spec, character)
-    poly = MultiPoly(
-        {tuple((e, 1) for e in b): w for b, w in zip(matroid.bases, matroid.weights)}
-    )
-    scalar = sum(matroid.weights, CycInt.from_int(spec.group.exponent, 0))
-    return WeightReport(matroid=matroid, polynomial=poly, scalar=scalar)
+weight_polynomial = bases  # the record carries the polynomial and its value at 1

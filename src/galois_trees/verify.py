@@ -20,11 +20,13 @@ equality is decided at the integer level and reported as such).  Whether
 the cover is connected is decided once, from base data
 (``CoverSpec.connected`` on the normalized spec), and the per-character
 matroids read the same verdict; the built cover is not searched for it.
+Each orbit's first ``matroids.TwistedMatroid`` is enumerated; the others
+come from ``TwistedMatroid.galois``, one sigma_k pass over the weights each.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MultiPoly
@@ -46,26 +48,10 @@ from .jacobians import (
     jacobian_polynomial,
     specialized_jacobian_polynomial,
 )
-from .matroids import WeightReport, weight_polynomial
+from .matroids import TwistedMatroid, weight_polynomial
 from .specfile import SCHEMA
 
 DEFAULT_ENUMERATION_CAP = 200_000
-
-
-@dataclass(frozen=True)
-class CharacterReport(WeightReport):
-    """A weight report read per character; rank and basis count are its matroid's."""
-
-    character = property(lambda self: self.matroid.character)
-    rank = property(lambda self: self.matroid.rank)
-    basis_count = property(lambda self: len(self.matroid.bases))
-
-    def galois(self, k: int) -> CharacterReport:
-        """The report of rho^k: rho's bases and rank, every weight mapped by sigma_k."""
-        weights = tuple(w.galois(k) for w in self.matroid.weights)
-        matroid = replace(self.matroid, character=self.character.power(k), weights=weights)
-        poly = self.polynomial.map_coefficients(lambda c: c.galois(k))
-        return CharacterReport(matroid, poly, self.scalar.galois(k))
 
 
 @dataclass(frozen=True)
@@ -74,7 +60,7 @@ class VerificationReport:
     cover: Cover
     base_tree_count: int
     base_polynomial: MultiPoly
-    characters: tuple[CharacterReport, ...]
+    characters: tuple[TwistedMatroid, ...]
     prefactor: Fraction
     rhs_polynomial: MultiPoly
     rhs_tree_count: int
@@ -99,7 +85,7 @@ class VerificationReport:
                 {
                     "exponents": list(rep.character.exponents),
                     "rank": rep.rank,
-                    "basis_count": rep.basis_count,
+                    "basis_count": len(rep.bases),
                     "weight_polynomial": rep.polynomial.to_jsonable(),
                     "scalar_weight": rep.scalar.to_jsonable(),
                 }
@@ -121,13 +107,13 @@ class VerificationReport:
         }
 
 
-def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterReport, ...], MultiPoly, int]:
-    """Base polynomial, prefactor, per-character reports, RHS polynomial, RHS count.
+def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[TwistedMatroid, ...], MultiPoly, int]:
+    """Base polynomial, prefactor, per-character matroids, RHS polynomial, RHS count.
 
     Bases are enumerated once per Galois orbit of characters, and the other
-    reports of the orbit are sigma_k conjugates.  No product is taken in
-    Z[zeta_m] (m the exponent of G); the product is taken modulo split
-    primes instead:
+    records of the orbit are made by ``TwistedMatroid.galois``.  No product
+    is taken in Z[zeta_m] (m the exponent of G); the product is taken modulo
+    split primes instead:
 
     - Ring map.  Primes p ≡ 1 (mod m) split completely in Q(zeta_m), so
       with M a product of such primes and omega a primitive m-th root of
@@ -151,9 +137,12 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
     ``python -O``.  Rationality: an orbit product is rational because the
     orbit is Galois-stable and P_{rho^k} = sigma_k(P_rho), so modulo the
     first prime its image under zeta -> omega^j (the least j > 1 prime to
-    m) must equal its image under zeta -> omega.  Extra prime: modulo one
-    more split prime, unused by the CRT, the lifted product at a fixed
-    integer point must equal prefactor_num * J_base * prod_rho P_rho there.
+    m) must equal its image under zeta -> omega.  That one sigma_j generates
+    Gal(Q(zeta_m)/Q) only when (Z/m)^* is cyclic; at m = 12 or 24 a product
+    that is sigma_j-invariant but not rational passes it.  Extra prime:
+    modulo one more split prime, unused by the CRT, the lifted product at a
+    fixed integer point must equal prefactor_num * J_base * prod_rho P_rho
+    there; this is the check that rejects such a product.
     """
     group = spec.group
     n, m = group.order, group.exponent
@@ -167,12 +156,12 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
     prefactor = Fraction(prefactor_num, n)
 
     nontrivial = [rho for rho in characters(group) if not rho.is_trivial()]
-    found: dict[Character, CharacterReport] = {}
+    found: dict[Character, TwistedMatroid] = {}
     orbits: list[tuple[Character, list[MultiPoly]]] = []
     for rho in nontrivial:
         if rho in found:
             continue
-        first = CharacterReport(**vars(weight_polynomial(spec, rho)))
+        first = weight_polynomial(spec, rho)
         # every k with rho^k = conj gives its report: rho takes ord(rho)-th roots as values
         orbit = {rho.power(k): k for k in galois_exponents(m)}
         for conj, k in orbit.items():
@@ -218,13 +207,11 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[CharacterR
     return base_poly, prefactor, reports, rhs, rhs.value_at_ones()
 
 
-def verify_main_theorem(
-    spec: CoverSpec, max_tree_enumeration: int = DEFAULT_ENUMERATION_CAP
-) -> VerificationReport:
+def verify_main_theorem(spec: CoverSpec) -> VerificationReport:
     """Check the factorization for one cover specification.
 
     The cover polynomial is enumerated exactly when its tree count (known in
-    advance from the Smith form) does not exceed ``max_tree_enumeration``;
+    advance from the Smith form) does not exceed ``DEFAULT_ENUMERATION_CAP``;
     otherwise only the integer identity is decided and ``polynomial_checked``
     is False in the report.
     """
@@ -242,7 +229,7 @@ def verify_main_theorem(
     lhs_poly = None
     polynomial_checked = False
     equal = lhs_count == rhs_count
-    if equal and lhs_count <= max_tree_enumeration:
+    if equal and lhs_count <= DEFAULT_ENUMERATION_CAP:
         lhs_poly = specialized_jacobian_polynomial(cover)
         polynomial_checked = True
         equal = lhs_poly == rhs

@@ -118,8 +118,8 @@ def test_criterion_1_icosahedron(worked_example_reports):
             j = rep.character.exponents[0]
             f = weight_of_root(5, j)
             assert rep.rank == 4
-            assert rep.basis_count == 13
-            for weight in rep.matroid.weights:
+            assert len(rep.bases) == 13
+            for weight in rep.weights:
                 assert weight in (f**0, f**1, f**2)
             assert rep.scalar == 5 + 7 * f + f * f
             want = 30 - 6 * 5**0.5 if j in (1, 4) else 30 + 6 * 5**0.5
@@ -290,14 +290,14 @@ def test_criterion_9_matroid_axioms(verified_suite, free_suite, worked_example_r
     with criterion(9, "matroid exchange axiom and rank formula"):
         matroids = []
         for report in worked_example_reports.values():
-            matroids.extend(rep.matroid for rep in report.characters)
+            matroids.extend(report.characters)
         for report in verified_suite:
-            matroids.extend(rep.matroid for rep in report.characters)
+            matroids.extend(report.characters)
         for spec, _, _ in free_suite:
             for rho in characters(spec.group):
                 if rho.is_trivial():
                     continue
-                matroids.append(weight_polynomial(spec, rho).matroid)
+                matroids.append(weight_polynomial(spec, rho))
 
         assert matroids
         for matroid in matroids:

@@ -376,7 +376,7 @@ def test_renaming_changes_nothing_beyond_the_rename():
         assert len(got.characters) == len(want.characters)
         for a, b in zip(got.characters, want.characters):
             assert a.character == b.character
-            assert (a.rank, a.basis_count) == (b.rank, b.basis_count)
+            assert (a.rank, len(a.bases)) == (b.rank, len(b.bases))
             assert _rename_variables(a.polynomial, back) == b.polynomial
             assert a.scalar == b.scalar
 

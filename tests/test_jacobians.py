@@ -24,6 +24,7 @@ from galois_trees import (
     specialized_jacobian_polynomial,
     subdivide,
     valency_adjacency,
+    verify,
     verify_main_theorem,
 )
 from galois_trees.algebra import intmat, smith_diagonal, smith_normal_form
@@ -428,8 +429,9 @@ def test_tree_enumeration_on_long_cycle():
     assert len(spanning_trees(g)) == 1100
 
 
-def test_icosahedron_exact_polynomial_check():
-    report = verify_main_theorem(icosahedron_spec(), max_tree_enumeration=10**7)
+def test_icosahedron_exact_polynomial_check(monkeypatch):
+    monkeypatch.setattr(verify, "DEFAULT_ENUMERATION_CAP", 10**7)
+    report = verify_main_theorem(icosahedron_spec())
     assert report.polynomial_checked
     assert report.lhs_polynomial == report.rhs_polynomial
     assert report.lhs_polynomial.value_at_ones() == 5_184_000

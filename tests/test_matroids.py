@@ -148,9 +148,9 @@ def test_weight_polynomial_homogeneous_of_rank():
             if rho.is_trivial():
                 continue
             report = weight_polynomial(spec, rho)
-            if report.matroid.bases:
+            if report.bases:
                 assert report.polynomial.is_homogeneous()
-                assert report.polynomial.total_degree() == report.matroid.rank
+                assert report.polynomial.total_degree() == report.rank
 
 
 def test_rank_formula_vs_bruteforce():
@@ -312,8 +312,8 @@ def test_matroids_build_no_cover(monkeypatch):
     # also catch a module that imported the name directly
     monkeypatch.setattr(matroids, "build_cover", refuse, raising=False)
     assert weight_polynomial(spec, rho) == expected
-    assert bases(spec, rho) == expected.matroid
-    assert len(expected.matroid.bases) == 13
+    assert bases(spec, rho) == expected
+    assert len(expected.bases) == 13
     assert is_independent(spec, (), rho)
     z4 = AbelianGroup((4,))
     disconnected = (
@@ -351,8 +351,8 @@ def test_switching_leaves_twisted_matroids_unchanged():
             if rho.is_trivial():
                 continue
             mine, theirs = weight_polynomial(spec, rho), weight_polynomial(switched, rho)
-            assert theirs.matroid.bases == mine.matroid.bases
-            assert theirs.matroid.weights == mine.matroid.weights
+            assert theirs.bases == mine.bases
+            assert theirs.weights == mine.weights
             assert theirs.polynomial == mine.polynomial
             assert theirs.scalar == mine.scalar
     assert dilated >= 10
@@ -444,9 +444,9 @@ def test_matroids_and_l_functions_ignore_the_voltage_representative():
         assert untwisted_bases(moved) == untwisted_bases(normalized)
         for rho in characters(group)[1:]:
             mine, theirs = weight_polynomial(normalized, rho), weight_polynomial(moved, rho)
-            assert theirs.matroid.rank == mine.matroid.rank
-            assert theirs.matroid.bases == mine.matroid.bases
-            assert theirs.matroid.weights == mine.matroid.weights
+            assert theirs.rank == mine.rank
+            assert theirs.bases == mine.bases
+            assert theirs.weights == mine.weights
             assert theirs.polynomial == mine.polynomial
             assert theirs.scalar == mine.scalar
             if spec.is_free():

@@ -35,9 +35,10 @@ from galois_trees import (
     weight_polynomial,
 )
 from galois_trees.cli import main
-from galois_trees.verify import CharacterReport
+from galois_trees.matroids import TwistedMatroid
 from helpers import (
     SPEC_DIR,
+    count_calls,
     count_searches,
     dumbbell_graph,
     icosahedron_spec,
@@ -65,11 +66,11 @@ def test_orbit_reports_match_direct_weight_polynomials():
         assert len(reports) == spec.group.order - 1
         for report in reports:
             direct = weight_polynomial(spec, report.character)
-            assert report.matroid == direct.matroid
+            assert report == direct
             assert report.polynomial == direct.polynomial
             assert report.scalar == direct.scalar
-            assert report.rank == direct.matroid.rank
-            assert report.basis_count == len(direct.matroid.bases)
+            assert report.rank == direct.rank
+            assert len(report.bases) == len(direct.bases)
     assert dilated
 
 
@@ -100,7 +101,12 @@ def test_one_matroid_enumeration_per_galois_orbit(monkeypatch):
         calls.append(character.exponents)
         return enumerate_bases(spec, character)
 
-    monkeypatch.setattr(matroids, "bases", counting)
+    # every package name bound to the function, the alias too, as a tracer finds it
+    for name, module in list(sys.modules.items()):
+        if name.startswith("galois_trees"):
+            for key, value in list(vars(module).items()):
+                if value is enumerate_bases:
+                    monkeypatch.setattr(module, key, counting)
     report = verify_main_theorem(theta_spec(12))
     assert report.equal
     # one orbit per character order 2, 3, 4, 6, 12; each led by its first member
@@ -112,10 +118,8 @@ def test_planted_weight_error_is_an_internal_fault_not_bad_input(monkeypatch):
         report = weight_polynomial(spec, rho)
         if rho.exponents != (1,):
             return report
-        extra = MultiPoly.const(CycInt.root(5, 2))
-        for edge in report.matroid.bases[0]:
-            extra = extra * MultiPoly.variable(edge)
-        return replace(report, polynomial=report.polynomial + extra)
+        weights = (report.weights[0] + CycInt.root(5, 2), *report.weights[1:])
+        return replace(report, weights=weights)
 
     monkeypatch.setattr(verify, "weight_polynomial", planted)
     result = CliRunner().invoke(main, ["verify", str(SPEC_DIR / "icosahedron.json")])
@@ -218,25 +222,55 @@ def test_a_bound_too_small_fails_the_extra_prime_check(monkeypatch):
 
 
 def _plant_in_conjugate(real_galois, k_planted):
-    """CharacterReport.galois with one extra term in the report of rho^k_planted."""
+    """TwistedMatroid.galois with zeta added to the first weight of rho^k_planted."""
 
     def planted(self, k):
         report = real_galois(self, k)
         if k != k_planted:
             return report
-        basis = tuple((e, 1) for e in report.matroid.bases[0])
-        extra = MultiPoly({basis: CycInt.root(report.scalar.conductor, 1)})
-        return replace(report, polynomial=report.polynomial + extra)
+        zeta = CycInt.root(report.weights[0].conductor, 1)
+        return replace(report, weights=(report.weights[0] + zeta, *report.weights[1:]))
 
     return planted
 
 
 def test_planted_conjugate_error_is_caught(monkeypatch):
-    monkeypatch.setattr(CharacterReport, "galois", _plant_in_conjugate(CharacterReport.galois, 2))
+    monkeypatch.setattr(TwistedMatroid, "galois", _plant_in_conjugate(TwistedMatroid.galois, 2))
     result = CliRunner().invoke(main, ["verify", str(SPEC_DIR / "icosahedron.json")])
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, AssertionError)
     assert "not rational" in str(result.exception)
+
+
+@pytest.mark.parametrize("spec", [theta_spec(12), theta_spec(24), dumbbell_spec(12)])
+def test_a_sigma_j_invariant_error_is_caught_by_the_extra_prime(monkeypatch, spec):
+    """(Z/m)^* is not cyclic at m = 12 or 24: sigma_5, the one map the
+    rationality check applies, fixes u = 1 + zeta^(m/4).  Every weight of
+    each conjugate made with k = 5, times u, leaves an orbit product that is
+    sigma_5-invariant but not rational; the extra prime rejects it."""
+    real_galois = TwistedMatroid.galois
+    m = spec.group.exponent
+    u = 1 + CycInt.root(m, m // 4)
+    assert u.galois(5) == u and u.as_int() is None
+
+    def planted(self, k):
+        conj = real_galois(self, k)
+        return replace(conj, weights=tuple(w * u for w in conj.weights)) if k == 5 else conj
+
+    monkeypatch.setattr(TwistedMatroid, "galois", planted)
+    with pytest.raises(AssertionError, match="extra prime"):
+        assemble_rhs(spec)
+
+
+@pytest.mark.parametrize("name, calls", [("icosahedron.json", 41), ("dumbbell_z6.json", 5)])
+def test_each_conjugate_costs_one_sigma_k_pass_over_its_weights(monkeypatch, name, calls):
+    """icosahedron: 3 conjugates of 13 weights, plus the two ``conj`` calls of
+    ``weight_of_root``; the weight polynomial and its value at 1 are read off
+    the mapped weights, never mapped again."""
+    spec = parse_spec((SPEC_DIR / name).read_text())
+    ks = count_calls(monkeypatch, CycInt, "galois")
+    assert verify_main_theorem(spec).equal
+    assert len(ks) == calls
 
 
 def test_rhs_checks_survive_optimize():
@@ -257,7 +291,7 @@ def test_rhs_checks_survive_optimize():
         "    if not fails(theta_spec(30), 'extra prime'):\n"
         "        sys.exit('a bound too small passed the extra-prime check')\n"
         "verify.product_bound = real_bound\n"
-        "verify.CharacterReport.galois = _plant_in_conjugate(verify.CharacterReport.galois, 2)\n"
+        "verify.TwistedMatroid.galois = _plant_in_conjugate(verify.TwistedMatroid.galois, 2)\n"
         "if not fails(parse_spec((SPEC_DIR / 'icosahedron.json').read_text()), 'not rational'):\n"
         "    sys.exit('a planted conjugate error passed the rationality check')\n"
     )
@@ -301,9 +335,9 @@ def test_one_spec_validation_per_verification(monkeypatch):
 
 def test_the_orbit_representative_is_not_mapped_by_sigma_1(monkeypatch):
     ks = []
-    original = CharacterReport.galois
+    original = TwistedMatroid.galois
     monkeypatch.setattr(
-        CharacterReport, "galois", lambda self, k: (ks.append(k), original(self, k))[1]
+        TwistedMatroid, "galois", lambda self, k: (ks.append(k), original(self, k))[1]
     )
     klein = CoverSpec(
         base=theta_graph(), group=AbelianGroup((2, 2)), voltage={"f": (1, 0), "g": (0, 1)}
