@@ -6,8 +6,10 @@ A Smith normal form is returned as its diagonal only, the invariant
 factors, which is all that a group order or structure needs:
 ``smith_diagonal`` takes unit pivots on sparse rows, then the dense
 ``smith_normal_form`` finishes the remainder.
-``det_over_ring`` works modulo primes (``modular``) and lifts by CRT: by a
-Hessenberg reduction for I - diag(s^l) B, by interpolation otherwise.
+``det_over_ring`` takes det(I - diag(s^l) B) for a scalar B over Z[zeta_m],
+the one determinant shape of the zeta layer, modulo primes (``modular``)
+and lifts by CRT: by a Hessenberg reduction of the unit-step matrix when
+the lengths are short, by interpolation otherwise.
 """
 
 from __future__ import annotations
@@ -241,20 +243,22 @@ def _unit_pivot(live, holders, row_bucket, col_bucket, top) -> tuple[int, int] |
     return best
 
 
-def det_over_ring(rows: list) -> object:
-    """Exact determinant of a square matrix over Z[zeta_m][s].
+def det_over_ring(rows: list, lengths: list[int]) -> UniPoly:
+    """det(I - diag(s^l) B) in Z[zeta_m][s], for a square scalar matrix B.
 
-    A row lists its n entries, or is a dict {column: entry} (later passes
-    walk nonzeros only).  Entries are ints, CycInts of one conductor m, or
-    UniPolys in s with such coefficients; any other entry (a Fraction or a
-    MultiPoly, say) raises TypeError.  The result is a UniPoly when some
-    entry is one, else a scalar; its coefficients are CycInts when some
-    entry carries a CycInt, else ints.  The empty matrix has determinant 1.
+    A row of B lists its n entries, or is a dict {column: entry} (later
+    passes walk nonzeros only).  Entries are ints or CycInts of one
+    conductor m; any other entry (a UniPoly, a MultiPoly or a Fraction, say)
+    raises TypeError.  ``lengths`` gives l_i >= 1 for each row i.  The
+    coefficients of the result are CycInts when some entry is one, else
+    ints.  The empty matrix has determinant 1.
+
+    >>> det_over_ring([[0, 1], [1, 0]], [1, 1])
+    UniPoly((1, 0, -1))
 
     Multimodular: for primes p ≡ 1 (mod m) and each k prime to m,
     zeta -> omega^k (omega a primitive m-th root of unity mod p) maps the
-    matrix to F_p[s].  A matrix I - diag(s^l_i) B with B scalar, such as a
-    zeta edge matrix, has as determinant the reversed characteristic
+    matrix to F_p[s].  The determinant is the reversed characteristic
     polynomial of an N x N unit-step matrix, N = sum l_i, from one Hessenberg
     reduction when N^3 <= (N + 1) n^3; otherwise Gaussian elimination at
     s = 0..d and interpolation give it.  One inverted Vandermonde in the
@@ -263,24 +267,24 @@ def det_over_ring(rows: list) -> object:
     combined by CRT with symmetric lift once their product exceeds 2B.
 
     The degree in s is at most d = min(sum of row max degrees, sum of column
-    max degrees).  The bound B = c_m * min(prod of row l1, prod of column
-    l1) holds for every power-basis coefficient of every s-coefficient: the
-    l1 norm of an entry sums |power-basis coefficient| over its
-    s-coefficients, and c_m is the largest |coefficient| of a power zeta^b
-    on the power basis (2 at m = 105).  Lifted to Z[x][s] (zeta -> x), the
-    determinant has l1 norm at most the permanent of the l1 norms, which is
-    at most either product; folding x^m = 1 does not raise it, and then
-    each x^b with b < m contributes at most c_m times its coefficient.
+    max degrees) of I - diag(s^l) B.  The bound B = c_m * min(prod of row
+    l1, prod of column l1) holds for every power-basis coefficient of every
+    s-coefficient: the l1 norm of an entry sums |power-basis coefficient|
+    over its s-coefficients (1 + l1(B_ii) on the diagonal), and c_m is the
+    largest |coefficient| of a power zeta^b on the power basis (2 at
+    m = 105).  Lifted to Z[x][s] (zeta -> x), the determinant has l1 norm at
+    most the permanent of the l1 norms, which is at most either product;
+    folding x^m = 1 does not raise it, and then each x^b with b < m
+    contributes at most c_m times its coefficient.
 
     The result is checked modulo the last prime of ``split_primes``, unused
     above, against an F_p determinant at one point; a mismatch raises
     AssertionError, also under ``python -O``.
     """
     n = len(rows)
-    if n == 0:
-        return 1
-    # {column: s-coefficients} of the nonzero entries of every row
-    entries, conductors, is_poly = [], set(), False
+    if len(lengths) != n or any(l < 1 for l in lengths):
+        raise ValueError(f"need a length of at least 1 for each of the {n} rows")
+    entries, conductors = [], set()  # {column: entry} of the nonzero entries of B
     for r in rows:
         if not isinstance(r, dict) and len(r) != n:
             raise ValueError("matrix is not square")
@@ -288,32 +292,18 @@ def det_over_ring(rows: list) -> object:
         for j, x in r.items() if isinstance(r, dict) else enumerate(r):
             if not 0 <= j < n:
                 raise ValueError(f"column {j} is outside a {n} x {n} matrix")
-            if isinstance(x, UniPoly):
-                is_poly = True
-                x = x.coeffs
-            else:
-                x = (x,)
-            for c in x:
-                if isinstance(c, CycInt):
-                    conductors.add(c.conductor)
-                elif not isinstance(c, int):
-                    raise TypeError("entries must be ints, CycInts or UniPolys of them")
-            if any(x):
+            if isinstance(x, CycInt):
+                conductors.add(x.conductor)
+            elif not isinstance(x, int):
+                raise TypeError("entries must be ints or CycInts")
+            if x:
                 row[j] = x
         entries.append(row)
     if len(conductors) > 1:
         raise ValueError(f"CycInt entries of conductors {sorted(conductors)}")
     m = min(conductors, default=1)
-
-    def to_scalar(coords):
-        return CycInt(m, coords) if conductors else coords[0]
-
-    coords = _det_coordinates(entries, m)
-    if not coords:
-        return UniPoly() if is_poly else to_scalar((0,))
-    if is_poly:
-        return UniPoly([to_scalar(c) for c in coords])
-    return to_scalar(coords[0])
+    coords = _det_coordinates(entries, lengths, m)
+    return UniPoly([CycInt(m, c) if conductors else c[0] for c in coords])
 
 
 @cache
@@ -325,12 +315,17 @@ def _root_height(m: int) -> int:
 def _det_bound(entries, m: int) -> int:
     """B: no power-basis coefficient of the determinant exceeds it in size.
 
-    For m = 1 the determinant f(s) is an integer polynomial and Hadamard's
-    bound at |s| = 1 also holds: a coefficient of f is at most
-    max_{|s|=1} |f(s)| (Cauchy's estimate), and there |a_ij(s)| <= l1(a_ij),
-    so |f(s)| <= prod_i (sum_j l1(a_ij)^2)^(1/2), and the same over columns.
+    entries[i] maps each column j of a nonzero B_ij to B_ij.  For m = 1 the
+    determinant f(s) is an integer polynomial and Hadamard's bound at
+    |s| = 1 also holds: a coefficient of f is at most max_{|s|=1} |f(s)|
+    (Cauchy's estimate), and there |a_ij(s)| <= l1(a_ij), so
+    |f(s)| <= prod_i (sum_j l1(a_ij)^2)^(1/2), and the same over columns.
     """
-    norms = [{j: sum(map(l1, x)) for j, x in r.items()} for r in entries]
+    norms = []
+    for i, r in enumerate(entries):
+        row = {j: l1(x) for j, x in r.items()}
+        row[i] = row.get(i, 0) + 1  # the 1 of I
+        norms.append(row)
     col_sums, col_squares = [0] * len(entries), [0] * len(entries)
     for r in norms:
         for j, x in r.items():
@@ -347,23 +342,19 @@ def _ceil_sqrt(n: int) -> int:
     return isqrt(n - 1) + 1 if n else 0
 
 
-def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:
-    """The determinant's s-coefficients as power-basis coordinates, trimmed.
-
-    entries[i] maps each column j of a nonzero entry (i, j) to its
-    s-coefficients (ints or CycInts).
-    """
+def _det_coordinates(entries, lengths: list[int], m: int) -> list[tuple[int, ...]]:
+    """The s-coefficients of det(I - diag(s^l) B) as power-basis
+    coordinates, trimmed; entries[i] maps each column j of a nonzero B_ij
+    to B_ij (an int or a CycInt)."""
     n = len(entries)
-    row_degrees = [max(map(len, r.values()), default=0) - 1 for r in entries]
-    col_degrees = [-1] * n
-    for r in entries:
-        for j, x in r.items():
-            col_degrees[j] = max(col_degrees[j], len(x) - 1)
-    if min(row_degrees) < 0 or min(col_degrees) < 0:
-        return []  # a zero row or column
-    d = min(sum(row_degrees), sum(col_degrees))
-    if (lengths := _unit_step_lengths(entries)) and sum(lengths) ** 3 > (sum(lengths) + 1) * n ** 3:
-        lengths = None  # the unit-step matrix would cost more than d + 1 eliminations
+    col_degrees = [0] * n
+    for r, l in zip(entries, lengths):
+        for j in r:
+            col_degrees[j] = max(col_degrees[j], l)
+    d = min(sum(l for r, l in zip(entries, lengths) if r), sum(col_degrees))
+    steps = sum(lengths)
+    # the unit-step matrix, unless it would cost more than d + 1 eliminations
+    hessenberg = steps ** 3 <= (steps + 1) * n ** 3
     phi = euler_phi(m)
     *primes, extra = split_primes(m, _det_bound(entries, m))
     modulus, acc = 1, [0] * ((d + 1) * phi)
@@ -372,8 +363,9 @@ def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:
         images = []
         for k in galois_exponents(m):
             terms = _images(entries, p, pow(root_of_unity(m, p), k, p))
-            images.append(_unit_step_charpoly(terms, lengths, p)[:d + 1] if lengths else
-                          _interpolate([det_mod(_at(terms, n, t, p), p) for t in range(d + 1)], p))
+            images.append(_unit_step_charpoly(terms, lengths, p)[:d + 1] if hessenberg else
+                          _interpolate([det_mod(_at(terms, lengths, t, p), p)
+                                        for t in range(d + 1)], p))
         solver = power_basis_solver(m, p)
         residues = [sum(a * b for a, b in zip(w, by_k)) % p
                     for by_k in zip(*images) for w in solver]
@@ -383,65 +375,47 @@ def _det_coordinates(entries, m: int) -> list[tuple[int, ...]]:
     half = modulus // 2
     acc = [a - modulus if a > half else a for a in acc]
     coords = [tuple(acc[k * phi:(k + 1) * phi]) for k in range(d + 1)]
-    _check_extra_prime(entries, m, coords, extra, d + 1)
-    while coords and not any(coords[-1]):
+    _check_extra_prime(entries, lengths, m, coords, extra, d + 1)
+    while not any(coords[-1]):  # the constant term is 1
         coords.pop()
     return coords
 
 
-def _unit_step_lengths(entries) -> list[int] | None:
-    """[l_i] when the matrix is I - diag(s^l_i) B with B scalar, else None:
-    the constant part is the identity, and every other term of row i is one
-    monomial of degree l_i >= 1 (l_i = 0 for a zero row of B)."""
-    lengths = []
-    for i, r in enumerate(entries):
-        degrees = {len(x) - 1 for x in r.values() if len(x) > 1}
-        if i not in r or len(degrees) > 1 or any(x[0] != (i == j) or any(x[1:-1])
-                                                 for j, x in r.items()):
-            return None
-        lengths.append(max(degrees, default=0))
-    return lengths
-
-
 def _unit_step_charpoly(terms, lengths: list[int], p: int) -> list[int]:
     """det(I - diag(s^l_i) B) mod p, ascending, as det(I - sT) (Hashimoto,
-    Adv. Stud. Pure Math. 15, 1989): row i of B becomes a chain of l_i unit
-    steps in T, and the last carries row i of B.  A zero row of B has no
-    step; row i is e_i, and only the minor without row and column i counts.
-    T is built transposed, with its chains on the subdiagonal."""
+    Adv. Stud. Pure Math. 15, 1989): row i of B becomes a chain of l_i >= 1
+    unit steps in T, and the last carries row i of B.  T is built
+    transposed, with its chains on the subdiagonal."""
     first = [0, *accumulate(lengths)]
     t = [[0] * first[-1] for _ in range(first[-1])]
     for a in set(range(1, first[-1])).difference(first):  # every state but a chain's first
         t[a][a - 1] = 1
-    for i, j, coeffs in terms:
-        if len(coeffs) > 1 and lengths[j]:
-            t[first[j]][first[i + 1] - 1] = -coeffs[-1] % p
+    for i, j, b in terms:
+        t[first[j]][first[i + 1] - 1] = b
     return charpoly_mod(t, p)[::-1]
 
 
-def _check_extra_prime(entries, m: int, coords, p: int, point: int) -> None:
+def _check_extra_prime(entries, lengths, m: int, coords, p: int, point: int) -> None:
     """Compare the determinant with an F_p determinant at s = point, zeta -> omega."""
     omega = root_of_unity(m, p)
-    expected = det_mod(_at(_images(entries, p, omega), len(entries), point, p), p)
+    expected = det_mod(_at(_images(entries, p, omega), lengths, point, p), p)
     got = evaluate_mod([evaluate_mod(c, omega, p) for c in coords], point, p)
     if got != expected:
         raise AssertionError("multimodular determinant disagrees modulo an extra prime")
 
 
-def _images(entries, p: int, omega: int) -> list[tuple[int, int, list[int]]]:
-    """(i, j, s-coefficients mod p) of each nonzero entry under zeta -> omega."""
-    return [
-        (i, j, [to_residue(c, omega, p) for c in x])
-        for i, r in enumerate(entries)
-        for j, x in r.items()
-    ]
+def _images(entries, p: int, omega: int) -> list[tuple[int, int, int]]:
+    """(i, j, B_ij mod p) of each nonzero entry under zeta -> omega."""
+    return [(i, j, to_residue(x, omega, p)) for i, r in enumerate(entries) for j, x in r.items()]
 
 
-def _at(terms, n: int, t: int, p: int) -> list[list[int]]:
-    """The n x n matrix over F_p of the images at s = t."""
-    out = [[0] * n for _ in range(n)]
-    for i, j, coeffs in terms:
-        out[i][j] = evaluate_mod(coeffs, t, p)
+def _at(terms, lengths: list[int], t: int, p: int) -> list[list[int]]:
+    """I - diag(t^l) B over F_p, from the images of B."""
+    n = len(lengths)
+    scale = [pow(t, l, p) for l in lengths]
+    out = [[int(i == j) for j in range(n)] for i in range(n)]
+    for i, j, b in terms:
+        out[i][j] = (out[i][j] - scale[i] * b) % p
     return out
 
 

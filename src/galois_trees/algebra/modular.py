@@ -12,8 +12,8 @@ and zeta -> omega is then a ring map Z[zeta_m] -> Z/M.
 Primes fit CPython's 30-bit digits: ``split_primes`` takes one below 2^30
 when it can, else primes below 2^60 (two digits); they are searched
 downwards and cached per conductor, nothing at import.
-``intmat.det_over_ring`` takes determinants over Z[zeta_m][s] prime by
-prime under every map zeta -> omega^k, and ``verify.assemble_rhs``
+``intmat.det_over_ring`` takes det(I - diag(s^l) B) over Z[zeta_m][s] prime
+by prime under every map zeta -> omega^k, and ``verify.assemble_rhs``
 multiplies the weight polynomials modulo one product M of primes
 (``split_modulus``, ``product_bound``, ``mul_mod``, ``value_mod``) with
 monomials packed by ``PackedKeys``, the one layout that

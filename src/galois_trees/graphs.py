@@ -387,6 +387,12 @@ def spanning_trees_bruteforce(g: Graph) -> list[EdgeSubset]:
     return out
 
 
+def valencies(g: Graph) -> Counter[str]:
+    """Each vertex's valency from one pass over the edge ends; a loop counts
+    twice, as in ``Graph.valency``."""
+    return Counter(v for e in g.edges for v in g.ends[e])
+
+
 def degree_sequence(g: Graph) -> tuple[int, ...]:
-    valency = Counter(v for e in g.edges for v in g.ends[e])
+    valency = valencies(g)
     return tuple(sorted(valency[v] for v in g.vertices))

@@ -18,16 +18,19 @@ which both three-term matrices and the twisted Laplacian Q - A_rho of
 ``twisted_laplacian_det`` are stamped; a loop puts rho(eta) + rho(-eta)
 on the diagonal, which is 0 when rho(eta) = ±i.
 
-Every determinant is one ``det_over_ring`` call on a matrix over
-Z[zeta_m][s], taken modulo primes p ≡ 1 (mod m) under every embedding
-zeta -> omega^k and lifted by CRT; the 2|E| x 2|E| edge matrix goes in as
-sparse rows {column: entry}.  I - W is I - diag(s^length) B: one
-Hessenberg reduction of the N x N unit-step edge matrix, N the total
-length, unless N^3 > (N + 1) n^3 with n = 2|E|; then, as for the
-three-term matrix, elimination at s = 0..d and interpolation.  An L
-reciprocal at rho^k is sigma_k of the one at rho, because the matrices
-are.  Edge lengths follow ``graphs.edge_lengths``: positive ints, bools
-refused.
+Every determinant is one ``det_over_ring`` call: det(I - diag(s^l) B) for
+a scalar B over Z[zeta_m] in sparse rows {column: entry}, taken modulo
+primes p ≡ 1 (mod m) under every embedding zeta -> omega^k and lifted by
+CRT.  For I - W, B is 2|E| x 2|E| with value(a) at each follower of a, and
+l is the length of a's edge.  The three-term matrix takes the
+2|V| x 2|V| T = [[A, I - Q], [I, 0]] at unit lengths: by the Schur
+complement of its lower-right I, det(I - sT) = det(I - sA + s^2 (Q - I)).
+The twisted Laplacian is det(I - T) with T = I - Q + A_rho, the value at
+s = 1.  Each is one Hessenberg reduction of the N x N unit-step matrix,
+N = sum l, unless N^3 > (N + 1) n^3 for B n x n (long edges); then
+elimination at s = 0..d and interpolation.  An L reciprocal at rho^k is
+sigma_k of the one at rho, because the matrices are.  Edge lengths follow
+``graphs.edge_lengths``: positive ints, bools refused.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from typing import Mapping
 
 from .algebra import CycInt, UniPoly, det_over_ring
 from .covers import CoverSpec
-from .graphs import Graph, _connected_genus, edge_lengths, genus, is_connected
+from .graphs import Graph, _connected_genus, edge_lengths, genus, is_connected, valencies
 from .groups import Character
 
 OrientedEdge = tuple[str, int]
@@ -65,19 +68,13 @@ def _require_connected(g: Graph):
 
 
 def _metric(g: Graph, lengths: Mapping[str, int] | None, value) -> UniPoly:
-    """det(I - W), W[a][b] = value(a) * s^(length of a) when b follows a;
+    """det(I - diag(s^length) B), B[a][b] = value(a) when b follows a;
     the callers have checked that g is connected."""
     lengths = edge_lengths(g, lengths)
     followers = _followers(g)
     index = {a: i for i, a in enumerate(followers)}
-    rows = []  # {column: entry}: a row has one entry per follower, and the diagonal
-    for a, after in followers.items():
-        row = dict.fromkeys((index[b] for b in after), UniPoly.monomial(lengths[a[0]], -value(a)))
-        row[index[a]] = row.get(index[a], UniPoly()) + 1
-        rows.append(row)
-    det = det_over_ring(rows)
-    # an edgeless graph gives the 0x0 matrix, whose determinant is the int 1
-    return det if isinstance(det, UniPoly) else UniPoly.const(det)
+    rows = [dict.fromkeys((index[b] for b in after), value(a)) for a, after in followers.items()]
+    return det_over_ring(rows, [lengths[e] for e, _ in followers])
 
 
 def metric_zeta_reciprocal(g: Graph, lengths: Mapping[str, int] | None = None) -> UniPoly:
@@ -100,12 +97,16 @@ def _adjacency(g: Graph, value) -> list[dict]:
 
 
 def _three_term(g: Graph, adjacency: list[dict]) -> UniPoly:
-    """(1 - s^2)^(genus - 1) det(I - s A + s^2 (Q - I)) with A = adjacency."""
+    """(1 - s^2)^(genus - 1) det(I - s A + s^2 (Q - I)) with A = adjacency.
+
+    The determinant is det(I - sT) with T = [[A, I - Q], [I, 0]], 2n x 2n:
+    the Schur complement of its lower-right I is I - sA + s^2 (Q - I)."""
     _require_connected(g)
-    rows = [{j: UniPoly.monomial(1, -x) for j, x in row.items()} for row in adjacency]
-    for i, v in enumerate(g.vertices):
-        rows[i][i] = rows[i].get(i, UniPoly()) + UniPoly((1, 0, g.valency(v) - 1))
-    det = det_over_ring(rows)
+    n = len(adjacency)
+    valency = valencies(g)
+    rows = [{**row, n + i: 1 - valency[v]} for i, (row, v) in enumerate(zip(adjacency, g.vertices))]
+    rows += ({i: 1} for i in range(n))
+    det = det_over_ring(rows, [1] * (2 * n))
     one_minus_s2 = UniPoly((1, 0, -1))
     gg = _connected_genus(g)
     if gg >= 1:
@@ -168,11 +169,13 @@ def twisted_laplacian_det(spec: CoverSpec, rho: Character) -> CycInt:
     if not is_connected(g):
         raise ValueError("the twisted Laplacian requires a connected base")
     zero = CycInt.from_int(spec.group.exponent, 0)
-    rows = [{j: -x for j, x in row.items()} for row in _adjacency(g, _oriented_values(spec, rho))]
+    valency = valencies(g)
+    rows = _adjacency(g, _oriented_values(spec, rho))
     for i, v in enumerate(g.vertices):
-        rows[i][i] = rows[i].get(i, zero) + g.valency(v)
-    # a CycInt on every diagonal: the determinant is a CycInt
-    return det_over_ring(rows)
+        rows[i][i] = rows[i].get(i, zero) + 1 - valency[v]
+    # T = I - Q + A_rho has det(I - T) = det(Q - A_rho), at s = 1; a CycInt
+    # on every diagonal makes it a CycInt
+    return det_over_ring(rows, [1] * len(rows)).evaluate(1)
 
 
 def zeta_leading_at_one(

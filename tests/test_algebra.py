@@ -2,7 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from math import gcd, prod
 from pathlib import Path
 
@@ -444,10 +444,24 @@ def test_smith_diagonal_edge_cases():
         smith_diagonal([[1, 2], [3]])
 
 
+def _unit_step_rows(b, lengths, one):
+    """I - diag(s^l) B as dense UniPoly rows, ``one`` the 1 of their ring."""
+    rows = [[UniPoly.monomial(l, -x) for x in r] for r, l in zip(b, lengths)]
+    for i, r in enumerate(rows):
+        r[i] = r[i] + one
+    return rows
+
+
+def _scalar_det(rows):
+    """det M as det(I - sT) at s = 1, with T = I - M."""
+    t = [[int(i == j) - x for j, x in enumerate(r)] for i, r in enumerate(rows)]
+    return det_over_ring(t, [1] * len(t)).evaluate(1)
+
+
 def test_det_over_ring_one_by_one():
     s = UniPoly.monomial(1)
-    assert det_over_ring([[1 - s**4]]) == 1 - s**4
-    assert det_over_ring([[UniPoly.const(1), UniPoly()], [UniPoly(), UniPoly.const(1)]]) == 1
+    assert det_over_ring([[1]], [4]) == 1 - s**4
+    assert det_over_ring([[0, 0], [0, 0]], [1, 2]) == 1
 
 
 def test_det_over_ring_cyclic_matrix():
@@ -463,7 +477,7 @@ def test_det_over_ring_cyclic_matrix():
             row[i] = -CycInt.root(m, powers[i]).conj()
             row[(i + 1) % size] = CycInt.from_int(m, 1)
             rows.append(row)
-        got = det_over_ring(rows)
+        got = _scalar_det(rows)
         expected = CycInt.from_int(m, 1) - CycInt.root(m, sum(powers)).conj()
         if size % 2 == 0:
             expected = -expected
@@ -475,39 +489,34 @@ def test_det_over_ring_matches_int_det():
     for _ in range(20):
         n = rng.randint(1, 5)
         m = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        assert det_over_ring(m) == int_det(m)
-
-
-def test_det_over_ring_polynomial_pivoting():
-    s = UniPoly.monomial(1)
-    swapped = [[UniPoly(), UniPoly.const(1)], [1 - s, s]]
-    assert det_over_ring(swapped) == s - 1
-    singular = [[UniPoly.const(1), s], [UniPoly.const(1), s]]
-    assert not det_over_ring(singular)
-    zero_column = [[UniPoly(), UniPoly.const(1)], [UniPoly(), s]]
-    assert not det_over_ring(zero_column)
+        assert _scalar_det(m) == int_det(m)
 
 
 def _leibniz(rows, one):
-    """The determinant as a sum over permutations: the independent reference."""
+    """The determinant as a sum over permutations, those through a zero
+    entry skipped: the independent reference."""
+    n = len(rows)
     total = one - one
-    for perm in permutations(range(len(rows))):
-        inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:])
-        term = one
-        for i, j in enumerate(perm):
-            term = term * rows[i][j]
-        total = total + term if inversions % 2 == 0 else total - term
+
+    def expand(i, used, term, sign):
+        nonlocal total
+        if i == n:
+            total = total + term if sign > 0 else total - term
+            return
+        for j in range(n):
+            if j not in used and rows[i][j]:
+                inversions = sum(k > j for k in used)
+                expand(i + 1, used | {j}, term * rows[i][j], -sign if inversions % 2 else sign)
+
+    expand(0, frozenset(), one, 1)
     return total
 
 
-def _random_entry(rng, m, max_degree, size):
-    """A UniPoly in s with CycInt coefficients of conductor m; zero one time in five."""
+def _random_entry(rng, m, size):
+    """A CycInt of conductor m with coefficients up to size; zero one time in five."""
     if rng.random() < 0.2:
-        return UniPoly()
-    return UniPoly(
-        CycInt(m, [rng.randint(-size, size) for _ in range(euler_phi(m))])
-        for _ in range(rng.randint(0, max_degree) + 1)
-    )
+        return CycInt.from_int(m, 0)
+    return CycInt(m, [rng.randint(-size, size) for _ in range(euler_phi(m))])
 
 
 CONDUCTORS = (1, 2, 3, 4, 5, 8, 12, 105)
@@ -518,48 +527,56 @@ def test_det_over_ring_matches_leibniz_over_cyclotomic_polynomials(m):
     rng = random.Random(m)
     one = UniPoly.const(CycInt.from_int(m, 1))
     for n in (1, 2, 3, 4, 4):
-        rows = [[_random_entry(rng, m, 2, 3) for _ in range(n)] for _ in range(n)]
-        got = det_over_ring(rows)
-        assert isinstance(got, UniPoly) and got == _leibniz(rows, one)
+        b = [[_random_entry(rng, m, 3) for _ in range(n)] for _ in range(n)]
+        lengths = [rng.randint(1, 3) for _ in range(n)]
+        got = det_over_ring(b, lengths)
+        assert isinstance(got, UniPoly) and got == _leibniz(_unit_step_rows(b, lengths, one), one)
         assert all(isinstance(c, CycInt) and c.conductor == m for c in got.coeffs)
+    b[1] = [CycInt.from_int(m, 0)] * n  # a zero row and a zero column
+    for row in b:
+        row[2] = CycInt.from_int(m, 0)
+    assert det_over_ring(b, lengths) == _leibniz(_unit_step_rows(b, lengths, one), one)
     scalars = [[CycInt.root(m, rng.randrange(m)) * rng.randint(-2, 2) for _ in range(3)]
                for _ in range(3)]
-    got = det_over_ring(scalars)
+    got = _scalar_det(scalars)
     assert isinstance(got, CycInt) and got == _leibniz(scalars, CycInt.from_int(m, 1))
 
 
 @pytest.mark.parametrize("m", CONDUCTORS)
 def test_det_over_ring_singular_and_zero_column(m):
+    # the s^N coefficient, N = sum l, is ±det B: zero for a singular B; a zero
+    # column j of B leaves the minor without row and column j, of degree N - l_j
     rng = random.Random(1000 + m)
     n = 3 if m == 105 else 4
-    rows = [[_random_entry(rng, m, 2, 3) for _ in range(n)] for _ in range(n - 1)]
-    factor = UniPoly((CycInt.root(m, 1), CycInt.from_int(m, -2)))
-    rows.append([factor * x - y for x, y in zip(rows[0], rows[1])])  # dependent row
-    got = det_over_ring(rows)
-    assert isinstance(got, UniPoly) and not got
-    rows[-1] = [_random_entry(rng, m, 2, 3) for _ in range(n)]
-    for row in rows:
-        row[1] = UniPoly()
-    assert not det_over_ring(rows)
-    assert det_over_ring([[CycInt.from_int(m, 0)]]) == 0
-    assert isinstance(det_over_ring([[CycInt.from_int(m, 0)]]), CycInt)
+    one = UniPoly.const(CycInt.from_int(m, 1))
+    b = [[_random_entry(rng, m, 3) for _ in range(n)] for _ in range(n - 1)]
+    factor = CycInt.root(m, 1) - 2
+    b.append([factor * x - y for x, y in zip(b[0], b[1])])  # dependent row
+    lengths = [rng.randint(1, 3) for _ in range(n)]
+    got = det_over_ring(b, lengths)
+    assert got == _leibniz(_unit_step_rows(b, lengths, one), one)
+    assert got.degree < sum(lengths)
+    for row in b:
+        row[1] = CycInt.from_int(m, 0)
+    got = det_over_ring(b, lengths)
+    assert got == _leibniz(_unit_step_rows(b, lengths, one), one)
+    assert got.degree <= sum(lengths) - lengths[1]
+    assert all(isinstance(c, CycInt) and c.conductor == m for c in got.coeffs)
 
 
 @pytest.mark.parametrize("m", CONDUCTORS)
 def test_det_over_ring_cancelled_leading_coefficient(m):
-    # entries u_i v_j s + c_ij: the s^n coefficient is det(u v^T) = 0 for n >= 2,
-    # so the determinant has degree below the bound d = n
+    # B = u v^T has rank one: det(I - sB) = 1 - s v^T u, so the determinant
+    # has degree below the bound d = n
     rng = random.Random(2000 + m)
     n = 3
     u = [CycInt(m, [rng.randint(-2, 2) for _ in range(euler_phi(m))]) for _ in range(n)]
     v = [CycInt(m, [rng.randint(-2, 2) for _ in range(euler_phi(m))]) for _ in range(n)]
     u[0] = v[0] = CycInt.from_int(m, 1)
-    rows = [
-        [UniPoly((CycInt.from_int(m, rng.randint(-3, 3)), u[i] * v[j])) for j in range(n)]
-        for i in range(n)
-    ]
-    got = det_over_ring(rows)
-    assert got == _leibniz(rows, UniPoly.const(CycInt.from_int(m, 1)))
+    b = [[u[i] * v[j] for j in range(n)] for i in range(n)]
+    one = UniPoly.const(CycInt.from_int(m, 1))
+    got = det_over_ring(b, [1] * n)
+    assert got == _leibniz(_unit_step_rows(b, [1] * n, one), one)
     assert got.degree < n
 
 
@@ -567,45 +584,51 @@ def test_det_over_ring_cancelled_leading_coefficient(m):
 def test_det_over_ring_large_coefficients(m):
     rng = random.Random(3000 + m)
     n = 3 if m == 105 else 4
-    rows = [[_random_entry(rng, m, 1, 2**50) for _ in range(n)] for _ in range(n)]
-    got = det_over_ring(rows)
-    assert got == _leibniz(rows, UniPoly.const(CycInt.from_int(m, 1)))
+    one = UniPoly.const(CycInt.from_int(m, 1))
+    b = [[_random_entry(rng, m, 2**50) for _ in range(n)] for _ in range(n)]
+    lengths = [rng.randint(1, 2) for _ in range(n)]
+    got = det_over_ring(b, lengths)
+    assert got == _leibniz(_unit_step_rows(b, lengths, one), one)
     # more than two primes below 2^60 are needed to hold a coefficient this large
     assert max(abs(x) for c in got.coeffs for x in c.coeffs) > 2**125
 
 
 def test_det_over_ring_entry_types():
-    assert det_over_ring([]) == 1
-    assert isinstance(det_over_ring([[2, 1], [1, 2]]), int)
-    s = UniPoly.monomial(1)
-    assert all(isinstance(c, int) for c in det_over_ring([[s, 1], [2, s]]).coeffs)
+    empty = det_over_ring([], [])
+    assert isinstance(empty, UniPoly) and empty == 1
+    assert all(type(c) is int for c in det_over_ring([[2, 1], [1, 2]], [1, 2]).coeffs)
+    for entry in (UniPoly.monomial(1), MultiPoly.variable("x"), Fraction(1, 2)):
+        with pytest.raises(TypeError):
+            det_over_ring([[entry]], [1])
     with pytest.raises(TypeError):
-        det_over_ring([[MultiPoly.variable("x")]])
-    with pytest.raises(TypeError):
-        det_over_ring([[Fraction(1, 2), CycInt.root(3, 1)], [1, 1]])
-    with pytest.raises(TypeError):
-        det_over_ring([[Fraction(1, 2)]])
-    with pytest.raises(ValueError):
-        det_over_ring([[1, 2]])
+        det_over_ring([[Fraction(1, 2), CycInt.root(3, 1)], [1, 1]], [1, 1])
+    for rows, lengths in (
+        ([[1, 2], [3]], [1, 1]),  # a ragged row
+        ([[1, 2]], [1]),  # not square
+        ([[1]], [1, 1]),  # a length too many
+        ([[1]], []),  # a length too few
+        ([[1]], [0]),  # a length of 0
+    ):
+        with pytest.raises(ValueError):
+            det_over_ring(rows, lengths)
 
 
 def _big_polynomial_matrix():
-    """4 x 4 over Z[s] whose determinant has a coefficient above 2^62."""
+    """A 4 x 4 integer B and lengths: det(I - diag(s^l) B) has a coefficient above 2^62."""
     rng = random.Random(5)
-    s = UniPoly.monomial(1)
-    return [[rng.randint(-2**20, 2**20) + rng.randint(0, 3) * s for _ in range(4)]
-            for _ in range(4)]
+    return [[rng.randint(-2**20, 2**20) for _ in range(4)] for _ in range(4)], [1, 2, 1, 3]
 
 
 def test_det_over_ring_checks_an_extra_prime(monkeypatch):
-    rows = _big_polynomial_matrix()
-    exact = det_over_ring(rows)
-    assert exact == _leibniz(rows, UniPoly.const(1))
+    rows, lengths = _big_polynomial_matrix()
+    exact = det_over_ring(rows, lengths)
+    one = UniPoly.const(1)
+    assert exact == _leibniz(_unit_step_rows(rows, lengths, one), one)
     assert max(abs(c) for c in exact.coeffs) > 2**62
     for bound in (1, 2**40):  # one prime only: below 2^30, then below 2^60
         monkeypatch.setattr(intmat, "_det_bound", lambda entries, m: bound)
         with pytest.raises(AssertionError, match="extra prime"):
-            det_over_ring(rows)
+            det_over_ring(rows, lengths)
 
 
 def test_det_over_ring_extra_prime_check_survives_optimize():
@@ -616,7 +639,7 @@ def test_det_over_ring_extra_prime_check_survives_optimize():
         "for bound in (1, 2**40):  # one prime below 2^30, then one below 2^60\n"
         "    intmat._det_bound = lambda entries, m: bound\n"
         "    try:\n"
-        "        intmat.det_over_ring(_big_polynomial_matrix())\n"
+        "        intmat.det_over_ring(*_big_polynomial_matrix())\n"
         "    except AssertionError:\n"
         "        continue\n"
         "    sys.exit('a wrong determinant passed the check')\n"
@@ -639,13 +662,12 @@ def test_det_bound_covers_integer_determinants():
     for _ in range(60):
         n = rng.randint(1, 5)
         size = rng.choice((1, 3, 50))
-        rows = [[UniPoly([rng.randint(-size, size) for _ in range(rng.randint(1, 3))])
-                 for _ in range(n)] for _ in range(n)]
-        entries = [[x.coeffs for x in r] for r in rows]
-        largest = max((abs(c) for c in _leibniz(rows, one).coeffs), default=0)
-        bound = intmat._det_bound([{j: x for j, x in enumerate(r) if x} for r in entries], 1)
+        b = [[rng.randint(-size, size) for _ in range(n)] for _ in range(n)]
+        rows = _unit_step_rows(b, [rng.randint(1, 3) for _ in range(n)], one)
+        largest = max(abs(c) for c in _leibniz(rows, one).coeffs)
+        bound = intmat._det_bound([{j: x for j, x in enumerate(r) if x} for r in b], 1)
         assert bound >= largest
-        l1 = [[sum(map(abs, x)) for x in r] for r in entries]
+        l1 = [[sum(map(abs, x.coeffs)) for x in r] for r in rows]
         tighter += bound < min(prod(map(sum, l1)), prod(map(sum, zip(*l1))))
     assert tighter > 20
 
@@ -705,71 +727,51 @@ def test_charpoly_mod_structured_matrices():
     assert charpoly_mod([], p) == [1]
 
 
-def _unit_step_matrix(rng, m, n):
-    """I - diag(s^l_i) B over Z[zeta_m] with l_i in 1..3: B has a diagonal
-    term in row 0, and row 1 of B (when there is one) is zero."""
-    lengths = [rng.randint(1, 3) for _ in range(n)]
-    rows = []
-    for i in range(n):
-        row = [UniPoly() for _ in range(n)]
-        for j in range(n):
-            if i != 1 and (i == j == 0 or rng.random() < 0.5):
-                b = CycInt(m, [rng.randint(-2, 2) for _ in range(euler_phi(m))])
-                row[j] = UniPoly.monomial(lengths[i], -b)
-        row[i] = row[i] + 1
-        rows.append(row)
-    return rows
-
-
 @pytest.mark.parametrize("m", (1, 3, 4, 5, 8, 12))
 def test_unit_step_route_matches_interpolation(m, monkeypatch):
+    # either side of N^3 <= (N + 1) n^3, N = sum l: n = 2 at lengths (5, 6)
+    # interpolates (11^3 > 12 * 2^3); n = 9 and 10 at lengths 1..3 take the
+    # unit-step matrix, since N <= 3n
     rng = random.Random(4000 + m)
+    one = UniPoly.const(CycInt.from_int(m, 1))
+    zero = CycInt.from_int(m, 0)
     calls = count_calls(monkeypatch, intmat, "charpoly_mod")
-    matrices, fast = [], []
-    for n in (1, 2, 3, 5, 9, 10):
-        matrices.append(_unit_step_matrix(rng, m, n))
+    for n, lengths in ((2, [5, 6]), (9, None), (10, None)):
+        lengths = lengths or [rng.randint(1, 3) for _ in range(n)]
+        b = [[_random_entry(rng, m, 2) if n == 2 or rng.random() < 0.3 else zero
+              for _ in range(n)] for _ in range(n)]
         calls.clear()
-        fast.append(det_over_ring(matrices[-1]))
-        # N = sum l_i <= 3n, and N^3 <= (N + 1) n^3 holds for every N <= 3n once n >= 9
-        assert calls or n < 9
-    monkeypatch.setattr(intmat, "_unit_step_lengths", lambda entries: None)
-    calls.clear()
-    for rows, got in zip(matrices, fast):
-        slow = det_over_ring(rows)
-        assert got == slow and type(got) is type(slow)
-        assert [type(c) for c in got.coeffs] == [type(c) for c in slow.coeffs]
-    assert not calls
+        got = det_over_ring(b, lengths)
+        assert got == _leibniz(_unit_step_rows(b, lengths, one), one)
+        assert all(isinstance(c, CycInt) and c.conductor == m for c in got.coeffs)
+        assert bool(calls) == (n > 2)
 
 
 def test_other_matrices_keep_interpolation(monkeypatch):
     s = UniPoly.monomial(1)
-    one = UniPoly.const(1)
     calls = count_calls(monkeypatch, intmat, "charpoly_mod")
-    control = [[1 - 2 * s, -s], [-3 * s, 1 + s]]
-    assert det_over_ring(control) == 1 - s - 5 * s**2
+    control = [[2, 1], [3, -1]]
+    assert det_over_ring(control, [1, 1]) == 1 - s - 5 * s**2
     # the control: B = 15 < 2^29, so one prime below 2^30 and one embedding
-    assert intmat._det_bound([dict(enumerate(x.coeffs for x in r)) for r in control], 1) == 15
+    assert intmat._det_bound([dict(enumerate(r)) for r in control], 1) == 15
     assert calls == [split_prime(1, 0, SMALL_PRIME_LIMIT)]
     calls.clear()
-    for rows in (
-        [[2 - s, -s], [-s, 1 - s]],  # a constant diagonal entry other than 1
-        [[1 - s, -s**2], [-s, 1 - s]],  # two degrees in one row
-        [[1 - s, UniPoly.const(1)], [-s, 1 - s]],  # a constant off the diagonal
-        [[1 - s**2 + s, -s**2], [-s, 1 - s]],  # a term below the row's degree
-    ):
-        assert det_over_ring(rows) == _leibniz(rows, one)
+    # the same B at lengths (5, 6) interpolates, since 11^3 > 12 * 2^3
+    assert det_over_ring(control, [5, 6]) == 1 - 2 * s**5 + s**6 - 5 * s**11
     assert not calls
 
 
 def test_det_over_ring_takes_sparse_rows():
-    s = UniPoly.monomial(1)
-    dense = [[1 - s, -s, UniPoly()], [UniPoly(), 1, -2 * s], [-s, UniPoly(), 1 - s]]
+    one = UniPoly.const(1)
+    dense = [[1, 1, 0], [0, 0, 2], [1, 0, 1]]
     sparse = [{j: x for j, x in enumerate(r) if x} for r in dense]
-    assert det_over_ring(sparse) == det_over_ring(dense) == _leibniz(dense, UniPoly.const(1))
-    assert det_over_ring([{1: 2}, {0: 3}]) == -6
+    lengths = [1, 1, 1]
+    assert (det_over_ring(sparse, lengths) == det_over_ring(dense, lengths)
+            == _leibniz(_unit_step_rows(dense, lengths, one), one))
+    assert det_over_ring([{1: 2}, {0: 3}], [1, 1]) == UniPoly((1, 0, -6))
     for rows in ([{0: 1}, {2: 1}], [{0: 1}, {-1: 1}]):
         with pytest.raises(ValueError, match="outside"):
-            det_over_ring(rows)
+            det_over_ring(rows, [1, 1])
 
 
 def _schoolbook(a, b):

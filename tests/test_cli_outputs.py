@@ -37,6 +37,7 @@ def command_lines(name: str) -> dict[str, list[str]]:
         "zeta --max-length 6": ["zeta", "--max-length", "6", path],
         "zeta --max-length 12": ["zeta", "--max-length", "12", path],
         "zeta --lengths first=2": ["zeta", "--lengths", f"{_first_edge(name)}=2", path],
+        "zeta --lengths first=50": ["zeta", "--lengths", f"{_first_edge(name)}=50", path],
         "lfunction --character 1": ["lfunction", "--character", "1", path],
         "resolve": ["resolve", path],
         "verify": ["verify", path],
@@ -124,6 +125,7 @@ PINNED = {
         'zeta --max-length 6': (0, '63dd5262e16143513ee4d83d5d6a3cbe4788e4dc458e8fe403c4e715f3cd7f49'),
         'zeta --max-length 12': (0, '01f4411f733cbcd15675e6f0763a675c119114545c99b21751ae9d67346c2452'),
         'zeta --lengths first=2': (0, 'c53730c16e310dd572a22fa6808cf0cb8ee56ced0b9aede775f1a92f43592ef0'),
+        'zeta --lengths first=50': (0, 'b0f0f24f1aafc042dc63e5379a3991f43db7670b4b760c6ff8b21d9426066bda'),
         'lfunction --character 1': (2, '30605fea500bd7a8b058107641e12124c7e1f567f85cb4c51b53c1ef340a22e7'),
         'resolve': (0, '71ac59772e5932f682f3f9f8c6118d6e21275efec06d37c5c4dacf76a11b1bb9'),
         'verify': (0, '9a65d0f47a9c11b148f07b08faa87a9d6fdd556177e7b19dae58d4b741ad0927'),
@@ -138,6 +140,7 @@ PINNED = {
         'zeta --max-length 6': (0, '8f130464bac14c4e8897550de573f20e8752bf409ac4a02522623999efe11c1b'),
         'zeta --max-length 12': (0, '7dd40799c974007663c4995ddd90b7ff6c6c880d65197814ea50a566c82b554d'),
         'zeta --lengths first=2': (0, 'c0d18923d71eda68a4cfbc96ffe1ce2a9c92116f71979817bf9c9cc9c19d9d0e'),
+        'zeta --lengths first=50': (0, 'c0d18923d71eda68a4cfbc96ffe1ce2a9c92116f71979817bf9c9cc9c19d9d0e'),
         'lfunction --character 1': (2, '30605fea500bd7a8b058107641e12124c7e1f567f85cb4c51b53c1ef340a22e7'),
         'resolve': (0, '12c6a9af5f006f8c6077ed49d0ed90fbb14789a8d8eaec41456fa90d2147cf27'),
         'verify': (0, '4fd2d42fbf95d5c823a32159ce2a1cebe47056fb689a218f0a2fbb3bc700a3e2'),
@@ -152,6 +155,7 @@ PINNED = {
         'zeta --max-length 6': (0, 'a7e4b6a781bc6d7a0893c9024950d7adbe759a3b9f326466da2a22a4bbefdd7a'),
         'zeta --max-length 12': (0, '4c50e9284abc3b67d5b611ff7f7892462c1ccf7a5ad2fb9ea08d152ff6fde2a8'),
         'zeta --lengths first=2': (0, 'f09921bd78ca9135a2eb8ccf8d4ae2d6083bcf47993182c5396a221df7fc8c3f'),
+        'zeta --lengths first=50': (0, '74ccde35ebf65ae4f5c2a627a0da12cb7a1067ffff705a61afb894c4b74dd72c'),
         'lfunction --character 1': (2, 'deb2a46c21258dcb3696343616ee3793772ca514e52a5553da2d4c4bdc1fc1cb'),
         'resolve': (0, 'c025b9b248f47be5ac270d5d3b492344cd953ee3bd679405678d55ebcd448b33'),
         'verify': (2, 'ed3838e819c15b67a2557bf08e690cd3f6977166cae3944da49606e12e24a332'),
@@ -166,6 +170,7 @@ PINNED = {
         'zeta --max-length 6': (0, 'a7e4b6a781bc6d7a0893c9024950d7adbe759a3b9f326466da2a22a4bbefdd7a'),
         'zeta --max-length 12': (0, '4c50e9284abc3b67d5b611ff7f7892462c1ccf7a5ad2fb9ea08d152ff6fde2a8'),
         'zeta --lengths first=2': (0, 'f09921bd78ca9135a2eb8ccf8d4ae2d6083bcf47993182c5396a221df7fc8c3f'),
+        'zeta --lengths first=50': (0, '74ccde35ebf65ae4f5c2a627a0da12cb7a1067ffff705a61afb894c4b74dd72c'),
         'lfunction --character 1': (0, 'be6b02d37b503e5d816860520ae70805871a4b58f59924f65f73f8c5bdc10a93'),
         'resolve': (0, '17e8c1b4cc3edc6c84e5683deed632bb4f3fc7f0e70fdf6c099b782ce44f0ca7'),
         'verify': (0, '90f22946b3801a954bd3a38ac39bc8c7b320a0c77bf186903d8610d6a4116f6f'),
