@@ -5,7 +5,7 @@ Laplacians overflow 64 bits already at modest sizes, so no numpy.
 A Smith normal form is returned as its diagonal only, the invariant
 factors, which is all that a group order or structure needs:
 ``smith_diagonal`` takes unit pivots on sparse rows, then the dense
-``smith_normal_form`` finishes the remainder.
+``smith_normal_form`` finishes the remainder by extended-gcd steps.
 ``det_over_ring`` takes det(I - diag(s^l) B) for a scalar B over Z[zeta_m],
 the one determinant shape of the zeta layer, modulo primes (``modular``)
 and lifts by CRT: by a Hessenberg reduction of the unit-step matrix when
@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from functools import cache
 from itertools import accumulate, chain
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 from .cyclotomic import CycInt, euler_phi
 from .modular import (
@@ -67,16 +67,26 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[int, ...]:
     factors d1 | d2 | ..., nonnegative, zeros after the rank, min(rows,
     columns) of them.
 
-    The least nonzero |entry| moves to the corner as the pivot.  Row
-    operations reduce its column and column operations its row; a nonzero
-    remainder is smaller than the pivot and becomes the next one.  Once
-    both are clear, a row holding an entry the pivot does not divide is
-    added to the pivot row; otherwise |pivot| is emitted and its row and
-    column are dropped.  This dense routine is the remainder step of
-    ``smith_diagonal``, and the tests' reference for it.
+    Each diagonal entry starts from the least nonzero |entry|, moved to the
+    corner as the pivot p: one scan of the matrix per entry.  Extended-gcd
+    (Bezout) steps clear its column and row (Cohen, GTM 138, Alg. 2.4.14).
+    For x in the column with g = gcd(p, x) = u·p + v·x, the pivot row and
+    x's row become u·(pivot row) + v·(x's row) and (p/g)·(x's row) −
+    (x/g)·(pivot row): a unimodular step leaving g in the corner and 0 in
+    place of x; when p divides x, x's row just loses x/p pivot rows.  One
+    pass over the column, and one by columns over the row, make p the gcd
+    of what they held.  Each step replaces p by a divisor, so |p| only
+    shrinks.  A row step that shrinks it refills the column, and the passes
+    repeat.  Once both are clear, a row with an entry p does not divide is
+    added to the pivot row, and the row pass shrinks p again; otherwise |p|
+    is emitted and its row and column are dropped.  The loop ends because
+    every repeat shrinks |p|, which stays at least 1.  This dense routine
+    is the remainder step of ``smith_diagonal``.
 
     >>> smith_normal_form([[2, 4], [6, 8]])
     (2, 4)
+    >>> smith_normal_form([[2, 4, 6], [4, 8, 12], [1, 3, 5]])
+    (1, 2, 0)
     """
     a = [list(map(int, r)) for r in rows]
     nc = len(a[0]) if a else 0
@@ -93,31 +103,47 @@ def smith_normal_form(rows: list[list[int]]) -> tuple[int, ...]:
         if j:
             for r in a:
                 r[0], r[j] = r[j], r[0]
-        top, *rest = a
+        top = a[0]
         p = top[0]
-        # every nonzero entry is at least |p|, so a nonzero one gets a nonzero q
-        dirty = False
-        for r in rest:
-            if q := r[0] // p:
-                for k, x in enumerate(top):
-                    r[k] -= q * x
-                dirty = dirty or r[0]
-        for k in range(1, len(top)):
-            if q := top[k] // p:
-                for r in a:
-                    r[k] -= q * r[0]
-                dirty = dirty or top[k]
-        if dirty:
-            continue
-        for r in rest:
-            if any(x % p for x in r):
-                for k, x in enumerate(r):
-                    top[k] += x
-                break
-        else:
-            diagonal.append(least)
-            a = [r[1:] for r in rest]
+        again = True
+        while again:
+            for r in a[1:]:  # the column pass
+                if x := r[0]:
+                    if x % p:
+                        p, u, v, s, t = _bezout(p, x)
+                        top[:], r[:] = ([u * y + v * z for y, z in zip(top, r)],
+                                        [s * z - t * y for y, z in zip(top, r)])
+                    else:
+                        q = x // p
+                        r[:] = [z - q * y for y, z in zip(top, r)]
+            again = False  # set when a step of the row pass refills column 0
+            for k in range(1, nc):  # the row pass
+                if y := top[k]:
+                    if y % p:
+                        p, u, v, s, t = _bezout(p, y)
+                        for r in a:
+                            r[0], r[k] = u * r[0] + v * r[k], s * r[k] - t * r[0]
+                        again = True
+                    else:
+                        q = y // p
+                        for r in a:
+                            r[k] -= q * r[0]
+            if not again and p != 1 and p != -1 and (
+                    bad := next((r for r in a[1:] if any(x % p for x in r)), None)):
+                top[:] = [y + z for y, z in zip(top, bad)]
+                again = True
+        diagonal.append(abs(p))
+        a = [r[1:] for r in a[1:]]
+        nc -= 1
     return tuple(diagonal) + (0,) * (size - len(diagonal))
+
+
+def _bezout(p: int, x: int) -> tuple[int, int, int, int, int]:
+    """(g, u, v, p/g, x/g) with g = gcd(p, x) = u·p + v·x, for x != 0."""
+    g = gcd(p, x)
+    s, t = p // g, x // g
+    u = pow(s, -1, abs(t))  # 0 when |t| = 1
+    return g, u, (g - u * p) // x, s, t
 
 
 def smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
@@ -130,7 +156,8 @@ def smith_diagonal(rows: list[list[int]]) -> tuple[int, ...]:
     operations clear the pivot's column; column operations would then
     clear its row without touching any other row, so a unit pivot adds one
     1 to the diagonal and its row and column are dropped.  When no ±1
-    entry is left, the dense ``smith_normal_form`` runs on the remainder.
+    entry is left, the dense ``smith_normal_form`` finishes the remainder
+    by extended-gcd steps.
     A Laplacian's entries off the diagonal are mostly −1, so its remainder
     is small.
 

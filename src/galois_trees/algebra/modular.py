@@ -272,8 +272,12 @@ def charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
             row = rows[i]
             for j, x in tail:
                 row[j] = (row[j] - u * x) % p
-        for row in rows:  # ... and column k + 1 gains u times column i
-            row[k + 1] = (row[k + 1] + sum(u * row[i] for i, u in factors)) % p
+        for i, u in factors:  # ... and column k + 1 gains u times column i
+            for row in rows:
+                if x := row[i]:
+                    row[k + 1] += u * x
+        for row in rows:
+            row[k + 1] %= p
     minors = [[1]]  # det(tI - H) of the leading m x m block, for m = 0..n
     for m in range(n):
         out, chain = [0] + minors[m], 1

@@ -84,7 +84,13 @@ def _write_json(value, pieces: list[str], lead: str, newline: str) -> None:
         inner = newline + "  "
         lead += "[" + inner
         for item in value:
-            _write_json(item, pieces, lead, inner)
+            # an exact int or str is written here: most items are, and a call each is slow
+            if type(item) is int:
+                pieces.append(lead + int.__repr__(item))
+            elif type(item) is str:
+                pieces.append(lead + encode_basestring_ascii(item))
+            else:
+                _write_json(item, pieces, lead, inner)
             lead = "," + inner
         pieces.append(newline + "]")
     elif isinstance(value, dict):
@@ -100,7 +106,12 @@ def _write_json(value, pieces: list[str], lead: str, newline: str) -> None:
                 key = '"' + int.__repr__(key) + '"'
             else:
                 raise TypeError(f"keys must be str or int, not {type(key).__name__}")
-            _write_json(item, pieces, lead + key + ": ", inner)
+            if type(item) is int:
+                pieces.append(lead + key + ": " + int.__repr__(item))
+            elif type(item) is str:
+                pieces.append(lead + key + ": " + encode_basestring_ascii(item))
+            else:
+                _write_json(item, pieces, lead + key + ": ", inner)
             lead = "," + inner
         pieces.append(newline + "}")
     else:

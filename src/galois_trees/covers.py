@@ -218,7 +218,8 @@ def build_cover(spec: CoverSpec) -> Cover:
     spec, reduced_edges = validate_spec(spec)
     g = spec.base
     group = spec.group
-    elements = group.elements()
+    # each element's "@" suffix, formatted once per build, not once per lift
+    labels = {a: f"@{_fmt(a)}" for a in group.elements()}
 
     # elements run in ascending order, so a coset is first met at its least member
     vertex_map: dict[str, str] = {}
@@ -227,9 +228,9 @@ def build_cover(spec: CoverSpec) -> Cover:
     for v in g.vertices:
         d = spec.dilation_at(v)
         name[v] = {}
-        for a in elements:
+        for a, label in labels.items():
             if a not in name[v]:
-                tv = f"{v}@{_fmt(a)}"
+                tv = v + label
                 vertex_map[tv] = v
                 local_degrees[tv] = d.order
                 for h in d.elements:
@@ -240,8 +241,8 @@ def build_cover(spec: CoverSpec) -> Cover:
     for e in g.edges:
         s, t = g.ends[e]
         eta = spec.voltage_on(e)
-        for a in elements:
-            te = f"{e}@{_fmt(a)}"
+        for a, label in labels.items():
+            te = e + label
             edge_descriptions.append((te, name[s][a], name[t][group.add(a, eta)]))
             edge_map[te] = e
     total = build_graph(vertex_map, edge_descriptions)

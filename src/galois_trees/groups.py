@@ -43,13 +43,13 @@ class AbelianGroup:
         t = tuple(t)
         if len(t) != len(self.orders):
             raise ValueError(f"element {t} has wrong arity for orders {self.orders}")
-        return tuple(a % n for a, n in zip(t, self.orders))
+        return tuple([a % n for a, n in zip(t, self.orders)])
 
     def add(self, a: Element, b: Element) -> Element:
-        return tuple((x + y) % n for x, y, n in zip(a, b, self.orders))
+        return tuple([(x + y) % n for x, y, n in zip(a, b, self.orders)])
 
     def neg(self, a: Element) -> Element:
-        return tuple((-x) % n for x, n in zip(a, self.orders))
+        return tuple([(-x) % n for x, n in zip(a, self.orders)])
 
     def elements(self) -> list[Element]:
         return list(product(*(range(n) for n in self.orders)))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from itertools import permutations
+from itertools import chain, permutations
 from pathlib import Path
 
 from galois_trees import (
@@ -193,3 +193,60 @@ def count_searches(monkeypatch):
         graphs, "_search", lambda adj, start: (searched.append(len(adj)), original(adj, start))[1]
     )
     return searched
+
+
+def smith_reference(rows: list[list[int]]) -> tuple[int, ...]:
+    """Diagonal of the Smith normal form by least-entry rounds, the tests'
+    reference for ``smith_normal_form``: the invariant factors d1 | d2 | ...,
+    nonnegative, zeros after the rank, min(rows, columns) of them.
+
+    The least nonzero |entry| moves to the corner as the pivot.  Row
+    operations reduce its column and column operations its row; a nonzero
+    remainder is smaller than the pivot and becomes the next one.  Once
+    both are clear, a row holding an entry the pivot does not divide is
+    added to the pivot row; otherwise |pivot| is emitted and its row and
+    column are dropped.
+
+    >>> smith_reference([[2, 4], [6, 8]])
+    (2, 4)
+    """
+    a = [list(map(int, r)) for r in rows]
+    nc = len(a[0]) if a else 0
+    if any(len(r) != nc for r in a):
+        raise ValueError("ragged matrix")
+    size = min(len(a), nc)
+    diagonal = []
+    while least := min(map(abs, filter(None, chain.from_iterable(a))), default=0):
+        for i, row in enumerate(a):
+            if least in row or -least in row:
+                break
+        j = row.index(least) if least in row else row.index(-least)
+        a[0], a[i] = a[i], a[0]
+        if j:
+            for r in a:
+                r[0], r[j] = r[j], r[0]
+        top, *rest = a
+        p = top[0]
+        # every nonzero entry is at least |p|, so a nonzero one gets a nonzero q
+        dirty = False
+        for r in rest:
+            if q := r[0] // p:
+                for k, x in enumerate(top):
+                    r[k] -= q * x
+                dirty = dirty or r[0]
+        for k in range(1, len(top)):
+            if q := top[k] // p:
+                for r in a:
+                    r[k] -= q * r[0]
+                dirty = dirty or top[k]
+        if dirty:
+            continue
+        for r in rest:
+            if any(x % p for x in r):
+                for k, x in enumerate(r):
+                    top[k] += x
+                break
+        else:
+            diagonal.append(least)
+            a = [r[1:] for r in rest]
+    return tuple(diagonal) + (0,) * (size - len(diagonal))

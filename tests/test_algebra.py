@@ -36,7 +36,7 @@ from galois_trees.algebra.modular import (
     split_primes,
 )
 from galois_trees.errors import ExactDivisionError
-from helpers import count_calls
+from helpers import count_calls, smith_reference
 
 
 def test_cyclotomic_polynomials():
@@ -442,6 +442,92 @@ def test_smith_diagonal_edge_cases():
     assert smith_diagonal([[0]]) == (0,)
     with pytest.raises(ValueError):
         smith_diagonal([[1, 2], [3]])
+
+
+def _unimodular(rng, n):
+    """A random n x n integer matrix of determinant ±1: a product of
+    elementary row additions and swaps."""
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i == j:
+            continue
+        if rng.random() < 0.2:
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = rng.randint(-3, 3)
+            u[i] = [x + c * y for x, y in zip(u[i], u[j])]
+    return u
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _big_smith_input(rng, k, size, bits):
+    """A seeded matrix of at most size x size with entries up to 2^bits;
+    ``k`` picks the family: dense, rank-deficient through a product,
+    U·diag(d)·V with unimodular U, V and d out of divisibility order, or
+    dense with a zero row and a zero column."""
+    nr, nc = rng.randint(1, size), rng.randint(1, size)
+    top = 2 ** bits
+    family = k % 4
+    if family == 1 and min(nr, nc) > 1:
+        r = rng.randint(1, min(nr, nc) - 1)
+        b = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(nr)]
+        c = [[rng.randint(-top, top) for _ in range(nc)] for _ in range(r)]
+        return _matmul(b, c)
+    if family == 2:
+        d = [[0] * nc for _ in range(nr)]
+        for i in range(min(nr, nc)):
+            d[i][i] = rng.choice([0, 1, 2, 3, 4, 6, 9, 12, top + 1, 3 * top])
+        return _matmul(_matmul(_unimodular(rng, nr), d), _unimodular(rng, nc))
+    m = [[rng.randint(-top, top) for _ in range(nc)] for _ in range(nr)]
+    if family == 3:
+        m[rng.randrange(nr)] = [0] * nc
+        j = rng.randrange(nc)
+        for row in m:
+            row[j] = 0
+    return m
+
+
+def test_smith_normal_form_matches_the_least_entry_reference():
+    rng = random.Random(51)
+    shapes = set()
+    for k in range(400):
+        m = _big_smith_input(rng, k, 12, rng.choice([2, 8, 40, 100]))
+        want = smith_reference(m)
+        assert smith_normal_form(m) == want, m
+        shapes.add((len(m) == len(m[0]), want[-1] == 0))
+    # square and rectangular, of full and of deficient rank
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_smith_normal_form_matches_determinantal_divisors_above_64_bits():
+    rng = random.Random(52)
+    big = 0
+    for k in range(80):
+        m = _big_smith_input(rng, k, 5, 64 + rng.randint(1, 30))
+        big += max(abs(x) for row in m for x in row) > 2**64
+        assert smith_normal_form(m) == _divisor_diagonal(m), m
+    assert big >= 60
+
+
+def test_smith_normal_form_product_matches_int_det():
+    rng = random.Random(53)
+    checked = 0
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        top = 2 ** rng.choice([4, 30, 100])
+        m = [[rng.randint(-top, top) for _ in range(n)] for _ in range(n)]
+        det = int_det(m)
+        if det == 0:
+            continue
+        diagonal = smith_normal_form(m)
+        assert prod(diagonal) == abs(det)
+        assert all(e % d == 0 for d, e in zip(diagonal, diagonal[1:]))
+        checked += 1
+    assert checked >= 50
 
 
 def _unit_step_rows(b, lengths, one):

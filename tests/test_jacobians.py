@@ -241,6 +241,31 @@ def test_theta_cover_at_z400_matches_the_twisted_laplacians():
     assert order % p == product
 
 
+def test_theta_cover_at_z2000_matches_the_twisted_laplacians(monkeypatch):
+    # as at Z/400, with a group order of about 4,300 bits; the unit pivots
+    # leave a small dense remainder of entries thousands of bits long
+    sizes = []
+    dense = intmat.smith_normal_form
+
+    def recording(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return dense(rows, *args, **kwargs)
+
+    monkeypatch.setattr(intmat, "smith_normal_form", recording)
+    n = 2000
+    spec = CoverSpec(base=theta_graph(), group=AbelianGroup((n,)), voltage={"f": (1,), "g": (3,)})
+    order = jacobian_group(build_cover(spec).total).order
+    assert len(sizes) == 1 and sizes[0] <= 12
+    p = split_prime(n, 0)
+    w = root_of_unity(n, p)
+    product = 3 * pow(n, -1, p)
+    for a in range(1, n):
+        t = 1 + pow(w, a, p) + pow(w, 3 * a, p)
+        t_bar = 1 + pow(w, -a, p) + pow(w, -3 * a, p)
+        product = product * (9 - t * t_bar) % p
+    assert order % p == product
+
+
 def test_icosahedron_cover_at_z400_leaves_a_small_dense_remainder(monkeypatch):
     sizes = []
     dense = intmat.smith_normal_form
