@@ -361,8 +361,9 @@ def _det_bound(entries, m: int) -> int:
     rows, cols = prod(sum(r.values()) for r in norms), prod(col_sums)
     if m > 1:
         return _root_height(m) * min(rows, cols)
-    hadamard_rows = prod(_ceil_sqrt(sum(x * x for x in r.values())) for r in norms)
-    return min(rows, cols, hadamard_rows, prod(map(_ceil_sqrt, col_squares)))
+    # one ceiling over the whole product: a ceiling per row costs up to sqrt(2) a row
+    hadamard_rows = _ceil_sqrt(prod(sum(x * x for x in r.values()) for r in norms))
+    return min(rows, cols, hadamard_rows, _ceil_sqrt(prod(col_squares)))
 
 
 def _ceil_sqrt(n: int) -> int:

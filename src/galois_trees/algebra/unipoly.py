@@ -2,22 +2,23 @@
 
 Coefficients are stored ascending with trailing zeros trimmed.  The variable
 is conventionally called ``s`` (these polynomials hold zeta- and L-function
-reciprocals and their Taylor shifts).
+reciprocals).
 
-A product of ints and CycInts of one conductor m with more than one pair of
-terms, or of ints only with more than 256 (packing costs about 10 us, an int
-product well under 1 us, a CycInt one several), is one big-int product
-(Kronecker substitution; Harvey, J. Symb. Comput. 44, 2009): each operand's
+A product of ints and CycInts of one conductor m, some CycInt among them,
+with more than one pair of terms is one big-int product (Kronecker
+substitution; Harvey, J. Symb. Comput. 44, 2009): each operand's
 power-basis coordinates fill 2 phi(m) - 1 slots per power of s, each wide
 enough for the product's largest coordinate, and each s-coefficient read
-back is reduced mod Phi_m, so all are CycInts, or ints for int operands.
-Other products, Fractions among them, are taken term by term.
+back is reduced mod Phi_m, so all are CycInts.  Any other product is taken
+term by term.  No module of the package multiplies UniPolys; the packing
+serves products of L reciprocals over Z[zeta_m] (the zeta factorization),
+where it costs about 10 us a product and a CycInt product several a term.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import accumulate
 
 from .cyclotomic import CycInt, euler_phi, jsonable_coefficient, ring_power
 
@@ -26,9 +27,9 @@ def _zero(c) -> bool:
     return not c
 
 
-def _kronecker_product(a: tuple, b: tuple, m: int) -> list:
-    """The coefficients of a * b by one big-int product; ints when m is 0."""
-    phi = euler_phi(m) if m else 1
+def _kronecker_product(a: tuple, b: tuple, m: int) -> list[CycInt]:
+    """The coefficients of a * b by one big-int product, as CycInts of conductor m."""
+    phi = euler_phi(m)
     pad = (0,) * (phi - 1)  # a product of coordinate vectors has 2 phi - 1 slots
 
     def coordinates(poly):
@@ -47,7 +48,7 @@ def _kronecker_product(a: tuple, b: tuple, m: int) -> list:
     offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     raw = (_pack(xa, size) * _pack(xb, size) + offset).to_bytes(size * count, "little")
     slots = [int.from_bytes(raw[k:k + size], "little") - half for k in range(0, size * count, size)]
-    return [CycInt(m, slots[k:k + stride]) for k in range(0, count, stride)] if m else slots
+    return [CycInt(m, slots[k:k + stride]) for k in range(0, count, stride)]
 
 
 def _pack(values: list[int], size: int) -> int:
@@ -129,8 +130,8 @@ class UniPoly:
         # the CycInt conductors among the coefficients, None for a Fraction
         kinds = {c.conductor if isinstance(c, CycInt) else 0 if isinstance(c, int) else None
                  for c in a + b} - {0}
-        if None not in kinds and len(kinds) < 2 and len(a) * len(b) > (1 if kinds else 256):
-            return UniPoly(_kronecker_product(a, b, max(kinds, default=0)))
+        if len(kinds) == 1 and None not in kinds and len(a) * len(b) > 1:
+            return UniPoly(_kronecker_product(a, b, kinds.pop()))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not _zero(x):
@@ -161,35 +162,22 @@ class UniPoly:
             acc = acc * value + c
         return acc
 
-    def taylor_at_one(self, order: int | None = None) -> tuple:
-        """Coefficients of this polynomial rewritten in powers of (s - 1).
-
-        Exact binomial re-expansion; entry k is the coefficient of (s-1)^k.
-
-        >>> UniPoly((0, 0, 1)).taylor_at_one()
-        (1, 2, 1)
-        """
-        out = []
-        for k in range(len(self.coeffs)):
-            acc = 0
-            for i in range(k, len(self.coeffs)):
-                c = self.coeffs[i]
-                if not _zero(c):
-                    acc = acc + comb(i, k) * c
-            out.append(acc)
-        while out and _zero(out[-1]):
-            out.pop()
-        if order is not None:
-            out = out[: order + 1]
-            out += [0] * (order + 1 - len(out))
-        return tuple(out)
-
     def vanishing_order_at_one(self) -> tuple[int, object]:
-        """(order, leading coefficient) of the expansion at s = 1."""
-        shifted = self.taylor_at_one()
-        for k, c in enumerate(shifted):
-            if not _zero(c):
-                return k, c
+        """(order, leading coefficient) of the expansion at s = 1.
+
+        Synthetic division by s - 1 while the value at 1 is zero: the
+        running sums of the coefficients from the top are the quotient's,
+        and the last is the value at 1.
+
+        >>> UniPoly((1, -2, 1)).vanishing_order_at_one()
+        (2, 1)
+        """
+        coeffs = self.coeffs
+        for order in range(len(coeffs)):
+            sums = list(accumulate(reversed(coeffs)))
+            if not _zero(sums[-1]):
+                return order, sums[-1]
+            coeffs = sums[-2::-1]
         raise ValueError("zero polynomial has no vanishing order")
 
     def to_jsonable(self) -> list:

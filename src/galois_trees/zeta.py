@@ -4,9 +4,9 @@ Everything is a polynomial in one variable s; no analytic machinery.  One
 follower table maps each oriented edge to the oriented edges that may come
 next: those leaving its head, except its own reversal.  The two-term form
 det(I - W) stamps row e of W from it, with s^(length of e) at every
-follower f, and the closed-path census walks the same table.  The
-three-term form at unit lengths is
-(1 - s^2)^(genus - 1) * det(I - s*A + s^2*(Q - I)).  On a tree (genus 0)
+follower f.  The three-term form at unit lengths is
+(1 - s^2)^(genus - 1) * det(I - s*A + s^2*(Q - I)), the power taken as
+genus - 1 passes of c_k <- c_k - c_(k-2).  On a tree (genus 0)
 nothing is divided: the determinant is checked to equal 1 - s^2, and a
 mismatch raises AssertionError; the reciprocal is 1.  Twisting by a
 character multiplies row e of W by the character value of e's voltage,
@@ -17,6 +17,11 @@ value 1 in place of rho.  ``_adjacency`` gives A and A_rho as sparse rows, from
 which both three-term matrices and the twisted Laplacian Q - A_rho of
 ``twisted_laplacian_det`` are stamped; a loop puts rho(eta) + rho(-eta)
 on the diagonal, which is 0 when rho(eta) = ±i.
+
+No polynomial product is taken.  The closed-path census N_k comes from
+the Ihara reciprocal's coefficients by Newton's identities, since
+zeta(s) = exp sum N_k s^k / k (Bass, 1992), and the leading term at s = 1
+by synthetic division by s - 1 (``UniPoly.vanishing_order_at_one``).
 
 Every determinant is one ``det_over_ring`` call: det(I - diag(s^l) B) for
 a scalar B over Z[zeta_m] in sparse rows {column: entry}, taken modulo
@@ -107,13 +112,16 @@ def _three_term(g: Graph, adjacency: list[dict]) -> UniPoly:
     rows = [{**row, n + i: 1 - valency[v]} for i, (row, v) in enumerate(zip(adjacency, g.vertices))]
     rows += ({i: 1} for i in range(n))
     det = det_over_ring(rows, [1] * (2 * n))
-    one_minus_s2 = UniPoly((1, 0, -1))
     gg = _connected_genus(g)
     if gg >= 1:
-        return det * one_minus_s2 ** (gg - 1)
+        coeffs = list(det.coeffs) + [0, 0] * (gg - 1)
+        for _ in range(gg - 1):  # times 1 - s^2: c_k <- c_k - c_(k-2), from the top
+            for k in range(len(coeffs) - 1, 1, -1):
+                coeffs[k] -= coeffs[k - 2]
+        return UniPoly(coeffs)
     # a tree: no closed reduced walks, and A_rho is A conjugated by a diagonal
     # of roots of unity, so the determinant is 1 - s^2 and the reciprocal 1
-    if det != one_minus_s2:
+    if det != UniPoly((1, 0, -1)):
         raise AssertionError(f"the determinant on a tree is {det}, not 1 - s^2")
     return UniPoly.const(det.coeffs[0])
 
@@ -206,29 +214,22 @@ def l_leading_at_one(
 
 def closed_path_census(g: Graph, max_length: int) -> dict[int, int]:
     """Counts of closed, cyclically reduced paths by length, up to max_length
-    (from 1 to 12).
+    (from 1 to 12), in a connected graph.
 
     A path is a sequence of oriented edges, consecutive ones composing head
     to tail, closing up, and never immediately backtracking (including
     around the closure).  Counted with starting edge and direction, so this
-    matches the trace of powers of the unit-length edge matrix.  Walks are
-    counted, not listed: for each first edge, the number of walks ending at
-    each last edge is stepped along the follower table, and a walk closes
-    when the first edge follows its last one.
+    matches the trace of powers of the unit-length edge matrix.  These are
+    the power sums N_k of the reciprocal roots of the Ihara reciprocal
+    1 + c_1 s + c_2 s^2 + ..., so Newton's identities give them:
+    N_k = -k c_k - sum_(0<i<k) c_i N_(k-i), with c_i = 0 past the degree.
     """
     if max_length < 1:
         raise ValueError("census length must be at least 1")
     if max_length > 12:
         raise ValueError("census length is capped at 12")
-    followers = _followers(g)
-    counts = dict.fromkeys(range(1, max_length + 1), 0)
-    for first in followers:
-        walks = {first: 1}  # last edge -> walks of the current length from first
-        for length in counts:
-            counts[length] += sum(c for last, c in walks.items() if first in followers[last])
-            step: dict[OrientedEdge, int] = {}
-            for last, c in walks.items():
-                for nxt in followers[last]:
-                    step[nxt] = step.get(nxt, 0) + c
-            walks = step
+    c = ihara_zeta_reciprocal(g).coeffs + (0,) * max_length
+    counts: dict[int, int] = {}
+    for k in range(1, max_length + 1):
+        counts[k] = -k * c[k] - sum(c[i] * counts[k - i] for i in range(1, k))
     return counts

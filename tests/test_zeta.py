@@ -21,6 +21,7 @@ from galois_trees import (
     l_leading_at_one,
     metric_l_reciprocal,
     metric_zeta_reciprocal,
+    parse_spec,
     subdivide,
     twisted_laplacian_det,
     weight_polynomial,
@@ -28,6 +29,7 @@ from galois_trees import (
 )
 from galois_trees.algebra import intmat, modular
 from helpers import (
+    SPEC_DIR,
     count_calls,
     count_searches,
     dumbbell_graph,
@@ -348,6 +350,16 @@ def test_census_examples():
         assert counts[m] == _matpow_trace(wb, m)
 
 
+def test_census_past_the_ihara_degree():
+    # Newton's identities past the last coefficient of the reciprocal, against
+    # the trace of powers of the edge matrix
+    loop = build_graph(["v"], [("e", "v", "v")])
+    for g, degree in ((triangle_graph(), 6), (loop, 2)):
+        assert ihara_zeta_reciprocal(g).degree == degree
+        w = _unit_edge_matrix(g)
+        assert closed_path_census(g, 12) == {m: _matpow_trace(w, m) for m in range(1, 13)}
+
+
 def test_census_matches_log_series():
     # log of 1/det(I - W) should be sum N_m s^m / m, as a formal series
     max_len = 6
@@ -427,6 +439,22 @@ def test_metric_zeta_of_a_32_edge_matrix_takes_one_prime(monkeypatch):
     # it and one prime below 2^60 does, for the CRT; index 1 is the extra check
     assert len(bounds) == 1 and 2**30 <= 2 * bounds[0] < 2**59
     assert indices == [0, 1]
+
+
+def test_ihara_reciprocal_of_theta_z40_takes_three_primes(monkeypatch):
+    spec = CoverSpec(
+        base=theta_graph(), group=AbelianGroup((40,)), voltage={"f": (1,), "g": (3,)}
+    )
+    total = build_cover(spec).total
+    bounds = _recorded_bounds(monkeypatch)
+    charpolys = count_calls(monkeypatch, intmat, "charpoly_mod")
+    dets = count_calls(monkeypatch, intmat, "det_mod")
+    ihara_zeta_reciprocal(total)
+    # the 160 x 160 linearization, where each row [I, 0] has squared norm 2:
+    # Hadamard's bound has 161 bits, so three primes below 2^60, then the check
+    assert [b.bit_length() for b in bounds] == [161]
+    assert charpolys == [modular.split_prime(1, i) for i in range(3)]
+    assert dets == [modular.split_prime(1, 3)]
 
 
 def test_edge_matrix_determinant_is_one_charpoly_per_prime(monkeypatch):
@@ -557,3 +585,31 @@ def test_a_loop_of_value_i_cancels_its_diagonal_entry():
     assert laplacian_det == weight_polynomial(spec, rho).scalar
     _, ihara, _ = _dense_three_term_and_laplacian(spec, trivial)
     assert ihara_zeta_reciprocal(g) == ihara == metric_zeta_reciprocal(g)
+
+
+def _no_product(*args):
+    raise AssertionError("the zeta layer took a polynomial product")
+
+
+def test_zeta_layer_takes_no_polynomial_product(monkeypatch):
+    """Every public zeta function on the bundled specs, on trees and on a
+    genus-3 base (where (1 - s^2)^(g - 1) has g - 1 = 2), with the products
+    and powers of UniPoly made to raise."""
+    specs = [parse_spec(path.read_text()) for path in sorted(SPEC_DIR.glob("*.json"))]
+    resolved, _ = free_resolution(icosahedron_spec())
+    assert genus(resolved.base) >= 3
+    for name in ("__mul__", "__rmul__", "__pow__"):
+        monkeypatch.setattr(UniPoly, name, _no_product)
+    for g in [spec.base for spec in specs] + _trees() + [resolved.base]:
+        metric_zeta_reciprocal(g)
+        ihara_zeta_reciprocal(g)
+        closed_path_census(g, 12)
+        if genus(g) >= 2:
+            zeta_leading_at_one(g)
+    for spec in [spec for spec in specs if spec.is_free()] + [PATH_Z3, resolved]:
+        for rho in characters(spec.group):
+            metric_l_reciprocal(spec, rho)
+            artin_l_reciprocal_three_term(spec, rho)
+            if not rho.is_trivial():
+                twisted_laplacian_det(spec, rho)
+                l_leading_at_one(spec, rho)
