@@ -24,32 +24,21 @@ from .covers import (
     Cover,
     CoverSpec,
     build_cover,
-    contract_cover,
-    dilation_after_loop_contraction,
     free_resolution,
-    frobenius,
     is_connected_cover,
-    switch_voltages,
-    validate_cover,
     validate_spec,
 )
 from .graphs import (
     Graph,
     build_graph,
-    connected_components,
-    contract,
     degree_sequence,
     genus,
     is_connected,
-    spanning_trees,
-    spanning_trees_bruteforce,
-    valency_adjacency,
 )
 from .groups import (
     AbelianGroup,
     Character,
     Subgroup,
-    character_kills,
     characters,
     minimal_generators,
     subgroup_from_generators,
@@ -66,16 +55,10 @@ from .jacobians import (
     laplacian,
     pushforward_jacobian,
     specialized_jacobian_polynomial,
-    subdivide,
 )
 from .matroids import (
     TwistedMatroid,
     bases,
-    basis_weight,
-    is_independent,
-    matroid_rank,
-    max_independent_size,
-    untwisted_bases,
     weight_polynomial,
 )
 from .specfile import parse_spec, serialize_spec, spec_to_dict

@@ -159,61 +159,10 @@ class MultiPoly:
                 seen.add(v)
         return tuple(sorted(seen))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(e for _, e in mono) for mono in self.terms}
-        return len(degrees) <= 1
-
-    def evaluate(self, values: Mapping[str, object]):
-        """Evaluate at a point; every variable occurring must be assigned."""
-        acc = 0
-        for mono, c in self.terms.items():
-            term = c
-            for v, e in mono:
-                if v not in values:
-                    raise ValueError(f"no value supplied for variable {v!r}")
-                term = term * values[v] ** e
-            acc = acc + term
-        return acc
-
     def value_at_ones(self):
         acc = 0
         for c in self.terms.values():
             acc = acc + c
-        return acc
-
-    def substitute(self, var: str, replacement) -> MultiPoly:
-        """Replace one variable by a variable name, scalar, or polynomial."""
-        if isinstance(replacement, str):
-            out: dict[Monomial, object] = {}
-            for mono, c in self.terms.items():
-                exps = dict(mono)
-                if var in exps:
-                    e = exps.pop(var)
-                    exps[replacement] = exps.get(replacement, 0) + e
-                    mono = tuple(sorted(exps.items()))
-                s = out.get(mono, 0) + c
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
-            return MultiPoly(out)
-        repl = self._coerce(replacement)
-        if repl is None:
-            raise TypeError(f"cannot substitute {replacement!r}")
-        acc = MultiPoly.zero()
-        powers = {0: MultiPoly.const(1)}
-        for mono, c in self.terms.items():
-            exps = dict(mono)
-            e = exps.pop(var, 0)
-            rest = tuple(sorted(exps.items()))
-            if e not in powers:
-                powers[e] = repl**e
-            acc = acc + MultiPoly({rest: c}) * powers[e]
         return acc
 
     def exact_divide(self, den) -> MultiPoly:
@@ -276,9 +225,6 @@ class MultiPoly:
                 else:
                     rem.pop(target, None)
         return MultiPoly(quot)
-
-    def map_coefficients(self, fn) -> MultiPoly:
-        return MultiPoly({m: fn(c) for m, c in self.terms.items()})
 
     def canonical_terms(self) -> list[tuple[Monomial, object]]:
         return sorted(self.terms.items(), key=lambda item: item[0])

@@ -258,12 +258,13 @@ def matroid(spec, index):
 def zeta(spec, lengths, census):
     """Zeta reciprocals of the base graph; optional closed-path census."""
     ell = _parse_lengths(spec, lengths)
+    ihara = ihara_zeta_reciprocal(spec.base)
     payload = {
         "metric_zeta_reciprocal": metric_zeta_reciprocal(spec.base, ell).to_jsonable(),
-        "ihara_zeta_reciprocal": ihara_zeta_reciprocal(spec.base).to_jsonable(),
+        "ihara_zeta_reciprocal": ihara.to_jsonable(),
     }
     if census:
-        payload["census"] = closed_path_census(spec.base, census)
+        payload["census"] = closed_path_census(ihara, census)
     return payload
 
 

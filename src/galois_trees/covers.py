@@ -18,20 +18,18 @@ and free and transitive on edge fibers, and the projection is harmonic with
 local degree |D(v)| over v.
 
 Total edges are labelled ``e@a`` and total vertices ``v@r`` with r the
-smallest member of its coset.  No action table is stored: a translation is
-computed from a label when it is needed (``_translate``), so a cover holds
+smallest member of its coset.  No action table is stored: a label carries
+its element, so g·(e@a) = e@(g+a) can be read off it, and a cover holds
 only data linear in N·(|V| + |E|) of the base.
 """
 
 from __future__ import annotations
 
-import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
-from .graphs import Graph, build_graph, contract, is_connected
+from .graphs import Graph, build_graph, is_connected
 from .groups import (
     AbelianGroup,
     Element,
@@ -171,26 +169,14 @@ def _fmt(t: Element) -> str:
     return ".".join(map(str, t)) if t else "0"
 
 
-# a total label as build_cover writes it: name@a with a printed by _fmt
-_LABEL = re.compile(r".*@\d+(\.\d+)*")
-
-
-def _translate(group: AbelianGroup, gelt: Element, label: str) -> str:
-    """g·(x@a) = x@(g+a), reading a back from its ``_fmt`` text."""
-    name, _, text = label.rpartition("@")
-    a = tuple(int(x) for x in text.split(".")) if group.orders else ()
-    return f"{name}@{_fmt(group.add(gelt, a))}"
-
-
 @dataclass(frozen=True)
 class Cover:
     """A built cover: total graph, projection and local degrees.
 
     ``spec`` is the normalized spec it was built from, and ``reduced_edges``
-    the edges whose voltage normalizing changed (``validate_spec``); a
-    contracted cover has neither.  No action table is stored: translations
-    are computed from the ``e@a`` edge labels, which survive contraction
-    (see ``_translate``).
+    the edges whose voltage normalizing changed (``validate_spec``); a cover
+    assembled by other means than ``build_cover`` has neither.  No action
+    table is stored: translations are read off the ``e@a`` edge labels.
     """
 
     total: Graph
@@ -265,114 +251,6 @@ def is_connected_cover(cover: Cover) -> bool:
     return is_connected(cover.total)
 
 
-def _check(ok: bool, message: str):
-    if not ok:
-        raise AssertionError(message)
-
-
-def validate_cover(cover: Cover):
-    """Check the defining invariants of a cover; raises AssertionError.
-
-    Verifies fiber sizes, that the projection is a graph morphism, that
-    translation acts by automorphisms commuting with the projection, freely
-    and transitively on edge fibers and transitively on vertex fibers, and
-    local balancing at every total vertex.  The vertex action is read off
-    the ``e@a`` edge labels through the endpoints and must be well defined,
-    so on a contracted cover the action must descend; a vertex with no
-    incident edge is translated from the ``v@r`` members of its own label.
-    """
-    total, base, group = cover.total, cover.base, cover.group
-    n = group.order
-    for e in base.edges:
-        _check(len(cover.edge_fiber(e)) == n, f"edge fiber over {e} has the wrong size")
-    for v in base.vertices:
-        fiber = cover.vertex_fiber(v)
-        _check(n % len(fiber) == 0, f"vertex fiber over {v} has size {len(fiber)}")
-        degrees = sum(cover.local_degrees[tv] for tv in fiber)
-        _check(degrees == n, f"local degrees over {v} sum to {degrees}, not {n}")
-
-    # projection is a graph morphism (endpoints commute with the maps)
-    for te in total.edges:
-        ends = tuple(cover.vertex_map[tv] for tv in total.ends[te])
-        _check(ends == base.ends[cover.edge_map[te]], f"projection breaks {te}")
-
-    # translation acts by automorphisms commuting with the projection
-    incident = {tv for ends in total.ends.values() for tv in ends}
-    edgeless = [tv for tv in total.vertices if tv not in incident]
-    owner = {m: tv for tv in edgeless for m in tv.split("+") if _LABEL.fullmatch(m)}
-    edge_orbits = {min(cover.edge_fiber(e)): set() for e in base.edges}
-    vertex_orbits = {min(cover.vertex_fiber(v)): set() for v in base.vertices}
-    for gelt in group.elements():
-        pairs = []
-        for te in total.edges:
-            image = _translate(group, gelt, te)
-            _check(cover.edge_map.get(image) == cover.edge_map[te], f"{te} leaves its fiber")
-            pairs += zip(total.ends[te], total.ends[image])
-        for m, tv in owner.items():
-            if (image := _translate(group, gelt, m)) in owner:
-                pairs.append((tv, owner[image]))
-        vmap: dict[str, str] = {}
-        for tv, tw in pairs:
-            _check(vmap.setdefault(tv, tw) == tw, f"group action is not well defined at {tv}")
-            _check(cover.vertex_map[tw] == cover.vertex_map[tv], f"{tv} leaves its fiber")
-        for start, orbit in edge_orbits.items():
-            orbit.add(_translate(group, gelt, start))
-        for start, orbit in vertex_orbits.items():
-            if start in vmap:
-                orbit.add(vmap[start])
-
-    # |G| distinct translates filling the fiber: free and transitive
-    for start, orbit in edge_orbits.items():
-        _check(
-            len(orbit) == n and orbit == set(cover.edge_fiber(cover.edge_map[start])),
-            f"translation is not free and transitive on the fiber of {start}",
-        )
-    for start, orbit in vertex_orbits.items():
-        _check(
-            orbit == set(cover.vertex_fiber(cover.vertex_map[start])),
-            f"translation is not transitive on the fiber of {start}",
-        )
-
-    # local balancing: every base half-edge at p(tv) has d(tv) preimages at tv
-    preimages = Counter(
-        (total.ends[te][side], cover.edge_map[te], side)
-        for te in total.edges
-        for side in (0, 1)
-    )
-    for tv in total.vertices:
-        d = cover.local_degrees[tv]
-        for be in base.edges:
-            for side in (0, 1):
-                if base.ends[be][side] == cover.vertex_map[tv]:
-                    count = preimages[tv, be, side]
-                    _check(count == d, f"balancing at {tv} over ({be},{side}): {count} != {d}")
-
-
-def frobenius(spec: CoverSpec, path: Iterable[tuple[str, int]]) -> Element:
-    """Oriented voltage sum along a composable edge path.
-
-    Each step is (edge id, +1) for the canonical orientation or (edge id, -1)
-    for its reverse; consecutive steps must compose head to tail.
-    """
-    group = spec.group
-    g = spec.base
-    total = group.zero()
-    prev_head = None
-    for eid, direction in path:
-        if eid not in g.ends:
-            raise ValueError(f"unknown edge {eid!r} in path")
-        if direction not in (1, -1):
-            raise ValueError("step direction must be +1 or -1")
-        s, t = g.ends[eid]
-        tail, head = (s, t) if direction == 1 else (t, s)
-        if prev_head is not None and prev_head != tail:
-            raise ValueError(f"path does not compose at edge {eid!r}")
-        prev_head = head
-        eta = spec.voltage_on(eid)
-        total = group.add(total, eta if direction == 1 else group.neg(eta))
-    return total
-
-
 class FreeResolution(NamedTuple):
     spec: CoverSpec
     added_edges: tuple[str, ...]
@@ -407,73 +285,3 @@ def free_resolution(spec: CoverSpec) -> FreeResolution:
         CoverSpec(base=base, group=spec.group, dilation={}, voltage=voltage),
         tuple(added),
     )
-
-
-def contract_cover(cover: Cover, edge_ids: Iterable[str]) -> Cover:
-    """Contract base edges and all their preimages, keeping the cover structure.
-
-    G still acts transitively on each fibre, so every local degree is the
-    order of a stabilizer: |G| over the size of the vertex's fibre.
-    Surviving edges keep their ``e@a`` ids, so the group action carries over;
-    ``validate_cover`` checks that it descends to the contraction, and its
-    balancing check tests the degrees independently.
-    """
-    fset = set(edge_ids)
-    unknown = fset - set(cover.base.edges)
-    if unknown:
-        raise ValueError(f"unknown edge id {sorted(unknown)[0]!r}")
-    base_c, base_proj = contract(cover.base, fset)
-    pre = [te for te in cover.total.edges if cover.edge_map[te] in fset]
-    total_c, total_proj = contract(cover.total, pre)
-
-    vertex_map: dict[str, str] = {}
-    for old, new in total_proj.items():
-        image = base_proj[cover.vertex_map[old]]
-        if vertex_map.setdefault(new, image) != image:
-            raise AssertionError("projection is not well defined after contraction")
-    edge_map = {te: be for te, be in cover.edge_map.items() if be not in fset}
-    fibre = Counter(vertex_map.values())
-    local_degrees = {tv: cover.group.order // fibre[bv] for tv, bv in vertex_map.items()}
-    return Cover(
-        total=total_c,
-        base=base_c,
-        group=cover.group,
-        vertex_map=vertex_map,
-        edge_map=edge_map,
-        local_degrees=local_degrees,
-        spec=None,
-    )
-
-
-def dilation_after_loop_contraction(spec: CoverSpec, loop_edge: str) -> Subgroup:
-    """Dilation subgroup at the root after contracting a single loop.
-
-    Contracting a voltage loop enlarges the root's dilation subgroup by the
-    cyclic group generated by the loop voltage.
-    """
-    g = spec.base
-    if loop_edge not in g.ends:
-        raise ValueError(f"unknown edge {loop_edge!r}")
-    s, t = g.ends[loop_edge]
-    if s != t:
-        raise ValueError(f"edge {loop_edge!r} is not a loop")
-    loop_group = subgroup_from_generators(spec.group, [spec.voltage_on(loop_edge)])
-    return subgroup_sum(spec.dilation_at(s), loop_group)
-
-
-def switch_voltages(spec: CoverSpec, potentials: Mapping[str, Element]) -> CoverSpec:
-    """Apply a vertex switching: eta'(e) = eta(e) + xi(target) - xi(source).
-
-    Switching changes the stored representative but not the isomorphism
-    class of the cover, so all computed invariants must agree.
-    """
-    group = spec.group
-    g = spec.base
-    xi = {v: group.reduce(potentials.get(v, group.zero())) for v in g.vertices}
-    voltage = {}
-    for e in g.edges:
-        s, t = g.ends[e]
-        eta = group.add(spec.voltage_on(e), group.add(xi[t], group.neg(xi[s])))
-        if eta != group.zero():
-            voltage[e] = eta
-    return CoverSpec(base=g, group=group, dilation=dict(spec.dilation), voltage=voltage)

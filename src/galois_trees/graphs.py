@@ -13,18 +13,15 @@ caller-supplied strings, and every enumeration is ordered lexicographically
 so results are reproducible across runs and platforms.
 
 One breadth-first search (``_search``) answers every reachability
-question: ``is_connected``, ``connected_components`` and the vertex order
-of the tree sweep (``_breadth_first``).
+question: ``is_connected`` and the vertex order of the tree sweep
+(``_breadth_first``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Mapping
-
-from .algebra.modular import PackedKeys
 
 HalfEdge = tuple[str, int]
 EdgeSubset = tuple[str, ...]
@@ -49,13 +46,6 @@ class Graph:
     def is_loop(self, e: str) -> bool:
         s, t = self.ends[e]
         return s == t
-
-    def valency(self, v: str) -> int:
-        count = 0
-        for e in self.edges:
-            s, t = self.ends[e]
-            count += (s == v) + (t == v)
-        return count
 
 
 def build_graph(
@@ -106,27 +96,6 @@ def _search(adj: dict[str, list[tuple[str, str]]], start: str) -> list[str]:
     return order
 
 
-def connected_components(g: Graph) -> list[Graph]:
-    """Split a graph into its connected components, as graphs.
-
-    Components are ordered by their smallest vertex id; every vertex and
-    edge lands in exactly one component.
-    """
-    adj = _adjacency(g)
-    seen: set[str] = set()
-    parts: list[Graph] = []
-    for start in g.vertices:
-        if start in seen:
-            continue
-        vset = set(_search(adj, start))
-        seen |= vset
-        comp_edges = {e: g.ends[e] for e in g.edges if g.ends[e][0] in vset}
-        parts.append(
-            Graph(tuple(sorted(vset)), tuple(sorted(comp_edges)), comp_edges)
-        )
-    return parts
-
-
 def is_connected(g: Graph) -> bool:
     """One search from the first vertex; no component graphs are built."""
     if not g.vertices:
@@ -146,42 +115,6 @@ def _connected_genus(g: Graph) -> int:
     return len(g.edges) - len(g.vertices) + 1
 
 
-def contract(g: Graph, edge_ids: Iterable[str]) -> tuple[Graph, dict[str, str]]:
-    """Contract a set of edges; returns the new graph and the vertex projection.
-
-    Each connected component of the subgraph spanned by the contracted edges
-    collapses to a single fresh vertex whose id concatenates the sorted member
-    ids; loops inside the set simply vanish.  Surviving edges keep their ids
-    and orientation sides.
-    """
-    fset = set(edge_ids)
-    unknown = fset - set(g.edges)
-    if unknown:
-        raise ValueError(f"unknown edge id {sorted(unknown)[0]!r}")
-    touched = sorted({v for e in fset for v in g.ends[e]})
-    sub = Graph(
-        tuple(touched), tuple(sorted(fset)), {e: g.ends[e] for e in fset}
-    )
-    projection = {v: v for v in g.vertices}
-    new_vertices = [v for v in g.vertices if v not in set(touched)]
-    existing = set(new_vertices)
-    for comp in connected_components(sub) if fset else []:
-        name = "+".join(comp.vertices)
-        while name in existing:
-            name += "'"
-        existing.add(name)
-        new_vertices.append(name)
-        for v in comp.vertices:
-            projection[v] = name
-    ends = {}
-    for e in g.edges:
-        if e in fset:
-            continue
-        s, t = g.ends[e]
-        ends[e] = (projection[s], projection[t])
-    return Graph(tuple(sorted(new_vertices)), tuple(sorted(ends)), ends), projection
-
-
 def edge_lengths(g: Graph, lengths: Mapping[str, int] | None) -> dict[str, int]:
     """Every edge's length, 1 where none is given; a length must be a positive
     int (not a bool) and name an edge of g, else ValueError."""
@@ -196,47 +129,6 @@ def edge_lengths(g: Graph, lengths: Mapping[str, int] | None) -> dict[str, int]:
             raise ValueError(f"edge length for {e!r} must be a positive integer")
         out[e] = x
     return out
-
-
-def valency_adjacency(g: Graph) -> tuple[list[list[int]], list[list[int]]]:
-    """Valency matrix Q and adjacency matrix A, rows/columns in vertex order.
-
-    A loop contributes 2 to both the valency and the diagonal adjacency
-    entry of its vertex, so Q - A always has zero row sums.
-    """
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    n = len(g.vertices)
-    q = [[0] * n for _ in range(n)]
-    a = [[0] * n for _ in range(n)]
-    for e in g.edges:
-        s, t = g.ends[e]
-        i, j = idx[s], idx[t]
-        q[i][i] += 1
-        q[j][j] += 1
-        a[i][j] += 1
-        a[j][i] += 1
-    return q, a
-
-
-class _UnionFind:
-    __slots__ = ("parent", "size")
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            x = p[x]
-        return x
-
-    def union(self, x: int, y: int):
-        """Union two roots, the smaller under the larger."""
-        if self.size[x] < self.size[y]:
-            x, y = y, x
-        self.parent[y] = x
-        self.size[x] += self.size[y]
 
 
 def _canonical(key: tuple[int, ...]) -> tuple[int, ...]:
@@ -352,44 +244,9 @@ def tree_sweep(g: Graph, unit: Mapping[str, int]) -> dict[int, int]:
     return states.get((), {})
 
 
-def spanning_trees(g: Graph) -> list[EdgeSubset]:
-    """All spanning trees, each a sorted tuple of edge ids, in lexicographic order.
-
-    A by-product of ``tree_sweep`` with one variable, and one one-bit field,
-    per edge: every complement it returns leaves out the edges of exactly
-    one tree.  Loops never occur in a tree.  A disconnected graph raises
-    ValueError from the sweep.
-    """
-    keys = PackedKeys(dict.fromkeys(g.edges, 1))
-    outside = keys.unpack(tree_sweep(g, keys.unit)).terms
-    return sorted(tuple(e for e in g.edges if e not in dict(mono)) for mono in outside)
-
-
-def spanning_trees_bruteforce(g: Graph) -> list[EdgeSubset]:
-    """Oracle variant: filter all (|V|-1)-subsets for acyclic spanning sets."""
-    if not is_connected(g):
-        raise ValueError("spanning trees require a connected graph")
-    n = len(g.vertices)
-    idx = {v: i for i, v in enumerate(g.vertices)}
-    out = []
-    for subset in combinations(g.edges, n - 1):
-        uf = _UnionFind(n)
-        ok = True
-        for e in subset:
-            ru, rv = uf.find(idx[g.ends[e][0]]), uf.find(idx[g.ends[e][1]])
-            if ru == rv:
-                ok = False
-                break
-            uf.union(ru, rv)
-        if ok:
-            out.append(subset)
-    out.sort()
-    return out
-
-
 def valencies(g: Graph) -> Counter[str]:
     """Each vertex's valency from one pass over the edge ends; a loop counts
-    twice, as in ``Graph.valency``."""
+    twice."""
     return Counter(v for e in g.edges for v in g.ends[e])
 
 

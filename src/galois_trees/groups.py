@@ -152,9 +152,6 @@ class Character:
             tuple((k * c) % n for c, n in zip(self.exponents, self.group.orders)),
         )
 
-    def conj(self) -> Character:
-        return self.power(-1)
-
 
 def characters(group: AbelianGroup) -> list[Character]:
     """All characters, ordered by exponent tuple; the trivial one comes first."""
@@ -163,9 +160,3 @@ def characters(group: AbelianGroup) -> list[Character]:
         for exps in product(*(range(n) for n in group.orders))
     ]
 
-
-def character_kills(rho: Character, h: Subgroup) -> bool:
-    """True when the character is identically 1 on the subgroup."""
-    if rho.group != h.group:
-        raise ValueError("character and subgroup belong to different groups")
-    return all(rho.value_exponent(a) == 0 for a in h.elements)

@@ -32,7 +32,7 @@ from .algebra import MultiPoly, int_det, smith_diagonal
 from .algebra.intmat import _sparse_smith_diagonal
 from .algebra.modular import PackedKeys
 from .covers import Cover
-from .graphs import Graph, build_graph, edge_lengths, is_connected, tree_sweep
+from .graphs import Graph, is_connected, tree_sweep
 
 
 def laplacian(g: Graph) -> list[list[int]]:
@@ -121,36 +121,6 @@ def specialized_jacobian_polynomial(cover: Cover) -> MultiPoly:
     """Tree polynomial of the total graph in base edge variables; ValueError
     when the total graph is disconnected."""
     return labeled_jacobian_polynomial(cover.total, cover.edge_map)
-
-
-def subdivide(g: Graph, chain_lengths: Mapping[str, int]) -> Graph:
-    """Replace each edge by a chain of the given length.
-
-    Lengths follow ``edge_lengths`` (positive ints naming edges of g, 1 where
-    none is given).  Length 1 keeps the edge untouched (same id); longer
-    chains introduce fresh interior vertices named after the edge.
-    """
-    chain_lengths = edge_lengths(g, chain_lengths)
-    vertices = list(g.vertices)
-    used = set(vertices)
-    edges = []
-    for e in g.edges:
-        n_e = chain_lengths[e]
-        s, t = g.ends[e]
-        if n_e == 1:
-            edges.append((e, s, t))
-            continue
-        prev = s
-        for i in range(1, n_e):
-            w = f"{e}.n{i}"
-            while w in used:
-                w += "'"
-            used.add(w)
-            vertices.append(w)
-            edges.append((f"{e}.{i}", prev, w))
-            prev = w
-        edges.append((f"{e}.{n_e}", prev, t))
-    return build_graph(vertices, edges)
 
 
 @dataclass(frozen=True)

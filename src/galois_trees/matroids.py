@@ -10,14 +10,17 @@ independent sets of size
 
 and each basis gets a weight: the product over the complementary genus-one
 components of (1 - value)(1 - conjugate value) at the component's cycle
-voltage, an exact cyclotomic integer.  The oracle sees G through an image
-map (the character's value exponent, or "nonzero in G" for the untwisted
-matroid, ``character=None``) and runs one union-find over the kept edges
-with voltage potentials, the balance test of Zaslavsky's bias matroid
-(``covers._deletion_components``).  ``bases`` runs it on integer images mod m:
-a basis leaves exactly one root (a seen dilated vertex or a cycle of
-nonzero image) in each component, so a subset is dropped at the first kept
-edge that closes a cycle of image 0 or gives a component a second root.
+voltage, an exact cyclotomic integer.  The matroid sees G through an
+image map (the character's value exponent, or "nonzero in G" for the
+untwisted matroid, ``character=None``), and independence is the balance
+test of Zaslavsky's bias matroid: one union-find over the kept edges with
+voltage potentials.  ``bases`` runs it on integer images mod m: a basis
+leaves exactly one root (a seen dilated vertex or a cycle of nonzero image)
+in each component, so a subset is dropped at the first kept edge that
+closes a cycle of image 0 or gives a component a second root.  The
+reference oracle, which inspects the components left by deleting an edge
+set (``covers._deletion_components``), lives with the tests, in
+``tests/oracles.py``.
 
 Every entry point first requires a connected cover (``_require_usable``):
 it reads ``CoverSpec.connected``, a property decided from base data once
@@ -42,20 +45,11 @@ from functools import cached_property
 from itertools import combinations
 
 from .algebra import CycInt, MultiPoly, weight_of_root
-from .covers import CoverSpec, _deletion_components
-from .graphs import EdgeSubset, _connected_genus, genus
+from .covers import CoverSpec
+from .graphs import EdgeSubset, _connected_genus
 from .groups import Character
 
-__all__ = [
-    "TwistedMatroid",
-    "bases",
-    "basis_weight",
-    "is_independent",
-    "matroid_rank",
-    "max_independent_size",
-    "untwisted_bases",
-    "weight_polynomial",
-]
+__all__ = ["TwistedMatroid", "bases", "weight_polynomial"]
 
 
 def _require_usable(spec: CoverSpec, character: Character | None = None, trivial_error=None):
@@ -89,53 +83,6 @@ def _seen_dilation(spec: CoverSpec, image) -> set[str]:
     }
 
 
-def _oracle(spec: CoverSpec, image):
-    """Independence oracle of the matroid that sees G through ``image``: an edge
-    set maps to (seen dilated vertices, cycle images; their number is the
-    genus) per component of the base minus it, or to None when dependent."""
-    seen = _seen_dilation(spec, image)
-
-    def pieces(removed):
-        out = []
-        for comp_v, voltages in _deletion_components(spec, set(removed)):
-            dilated = sum(1 for v in comp_v if v in seen)
-            cycles = [image(x) for x in voltages]
-            if not dilated and not any(cycles):
-                return None
-            out.append((dilated, cycles))
-        return out
-
-    return pieces
-
-
-def _weight(m: int, pieces, basis) -> CycInt:
-    """Weight of a basis from its oracle pieces; raises unless each piece is one
-    seen dilated vertex, or one cycle of image e != 0 weighing (1 - z^e)(1 - z^-e)."""
-    if pieces is None:
-        raise ValueError(f"{basis} is not a basis")
-    weight = CycInt.from_int(m, 1)
-    for dilated, cycles in pieces:
-        if dilated == 0 and len(cycles) == 1:
-            weight = weight * weight_of_root(m, cycles[0])
-        elif dilated != 1 or cycles:
-            raise ValueError(f"{basis} is not a basis")
-    return weight
-
-
-def is_independent(spec: CoverSpec, edge_set, character: Character | None = None) -> bool:
-    """Independence oracle: deleting the edges must leave only visible components."""
-    _require_usable(spec)
-    removed = set(edge_set)
-    unknown = removed - set(spec.base.edges)
-    if unknown:
-        raise ValueError(f"unknown edge id {sorted(unknown)[0]!r}")
-    return _oracle(spec, _image(spec, character))(removed) is not None
-
-
-def matroid_rank(spec: CoverSpec, character: Character | None = None) -> int:
-    return genus(spec.base) - 1 + len(_seen_dilation(spec, _image(spec, character)))
-
-
 @dataclass(frozen=True)
 class TwistedMatroid:
     """Bases of one character's matroid in lexicographic order, with their weights."""
@@ -162,16 +109,6 @@ class TwistedMatroid:
         """The matroid of rho^k: rho's bases and rank, every weight mapped by sigma_k."""
         weights = tuple(w.galois(k) for w in self.weights)
         return replace(self, character=self.character.power(k), weights=weights)
-
-
-def basis_weight(spec: CoverSpec, character: Character, basis) -> CycInt:
-    """Weight of a single basis; errors if the set is not a basis."""
-    _require_usable(spec, character, "weights require a nontrivial character")
-    basis = tuple(sorted(basis))
-    if len(basis) != matroid_rank(spec, character):
-        raise ValueError(f"{basis} is not a basis")
-    pieces = _oracle(spec, _image(spec, character))(basis)
-    return _weight(spec.group.exponent, pieces, basis)
 
 
 def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
@@ -236,26 +173,6 @@ def bases(spec: CoverSpec, character: Character) -> TwistedMatroid:
         bases=tuple(b for b, _ in found),
         weights=tuple(w for _, w in found),
     )
-
-
-def untwisted_bases(spec: CoverSpec) -> tuple[EdgeSubset, ...]:
-    """Bases of the untwisted matroid (voltages compared in the group itself)."""
-    _require_usable(spec)
-    pieces_of = _oracle(spec, any)
-    subsets = combinations(spec.base.edges, matroid_rank(spec, None))
-    return tuple(subset for subset in subsets if pieces_of(subset) is not None)
-
-
-def max_independent_size(spec: CoverSpec, character: Character | None = None) -> int:
-    """Largest independent set size by exhaustive search (test oracle)."""
-    _require_usable(spec, character, "the twisted matroid requires a nontrivial character")
-    pieces_of = _oracle(spec, _image(spec, character))
-    edges = spec.base.edges
-    for size in range(len(edges), -1, -1):
-        for subset in combinations(edges, size):
-            if pieces_of(subset) is not None:
-                return size
-    raise AssertionError("even the empty set is dependent")
 
 
 weight_polynomial = bases  # the record carries the polynomial and its value at 1

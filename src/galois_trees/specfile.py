@@ -43,7 +43,7 @@ def parse_spec(document: str | Mapping) -> CoverSpec:
     if isinstance(document, str):
         try:
             data = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # too deeply nested
             raise SpecFormatError(f"invalid JSON: {exc}") from exc
     else:
         data = document

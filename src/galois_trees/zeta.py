@@ -212,9 +212,10 @@ def l_leading_at_one(
     return order, coeff
 
 
-def closed_path_census(g: Graph, max_length: int) -> dict[int, int]:
+def closed_path_census(reciprocal: UniPoly, max_length: int) -> dict[int, int]:
     """Counts of closed, cyclically reduced paths by length, up to max_length
-    (from 1 to 12), in a connected graph.
+    (from 1 to 12), in a connected graph, read off its Ihara reciprocal
+    (``ihara_zeta_reciprocal``, which refuses a disconnected graph).
 
     A path is a sequence of oriented edges, consecutive ones composing head
     to tail, closing up, and never immediately backtracking (including
@@ -228,7 +229,7 @@ def closed_path_census(g: Graph, max_length: int) -> dict[int, int]:
         raise ValueError("census length must be at least 1")
     if max_length > 12:
         raise ValueError("census length is capped at 12")
-    c = ihara_zeta_reciprocal(g).coeffs + (0,) * max_length
+    c = reciprocal.coeffs + (0,) * max_length
     counts: dict[int, int] = {}
     for k in range(1, max_length + 1):
         counts[k] = -k * c[k] - sum(c[i] * counts[k - i] for i in range(1, k))

@@ -184,9 +184,9 @@ def count_calls(monkeypatch, module, name):
 
 
 def count_searches(monkeypatch):
-    """Wrap ``graphs._search``, the one graph search behind ``is_connected``,
-    ``connected_components`` and the tree sweep, so that every search appends
-    the number of vertices of the graph it searched to the returned list."""
+    """Wrap ``graphs._search``, the one graph search behind ``is_connected``
+    and the tree sweep, so that every search appends the number of vertices
+    of the graph it searched to the returned list."""
     searched = []
     original = graphs._search
     monkeypatch.setattr(

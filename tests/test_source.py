@@ -87,6 +87,70 @@ def test_schema_literal_is_written_once():
     assert found == ["specfile.py"]
 
 
+# Public names that nothing in the package or the benchmark calls yet, each
+# kept for the ROADMAP item that gives it a caller.
+UNCALLED_PUBLIC = frozenset({
+    "pushforward_jacobian",  # item 7: a `pushforward` command
+    "zeta_leading_at_one",  # item 6: the zeta identity's cross-check at s = 1
+    "l_leading_at_one",  # item 6: the zeta identity's cross-check at s = 1
+})
+
+
+def _referenced(tree, skip=()) -> set[str]:
+    """Names a tree uses as an ``ast.Name`` or ``ast.Attribute``, leaving out
+    the nodes inside the definitions in ``skip``."""
+    skipped = {id(node) for definition in skip for node in ast.walk(definition)}
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and id(node) not in skipped
+    }
+
+
+def _is_click_command(definition) -> bool:
+    for decorator in definition.decorator_list:
+        func = decorator.func if isinstance(decorator, ast.Call) else decorator
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("command", "group"):
+            return True
+    return False
+
+
+def test_every_public_definition_has_a_caller():
+    """The package is the verifier: every public module-level function or
+    class is used by another package module (``__init__.py`` re-exports do
+    not count), by its own module outside its own body, or by the benchmark
+    (``perfbench/``, its tests aside).  What only tests call belongs in
+    ``tests/oracles.py``."""
+    modules = {
+        path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    bench = PACKAGE.parent.parent / "perfbench"
+    bench_files = [p for p in bench.rglob("*.py") if "tests" not in p.relative_to(bench).parts]
+    assert bench_files
+    outside = set().union(*(
+        _referenced(ast.parse(p.read_text(encoding="utf-8"), str(p))) for p in bench_files
+    ))
+    by_module = {path: _referenced(tree) for path, tree in modules.items()}
+    uncalled = []
+    for path, tree in modules.items():
+        others = set().union(*(
+            names for other, names in by_module.items()
+            if other != path and other.name != "__init__.py"
+        ))
+        for definition in tree.body:
+            if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            name = definition.name
+            if name.startswith("_") or _is_click_command(definition):
+                continue
+            if name in others or name in outside or name in _referenced(tree, [definition]):
+                continue
+            uncalled.append(name)
+    assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
+
+
 def test_cli_import_loads_no_new_module():
     """Start-up time is mostly import time, and what the package imports is
     the part of it the package controls: a fresh interpreter importing the

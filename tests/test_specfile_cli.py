@@ -11,10 +11,12 @@ from galois_trees import (
     validate_spec,
     verify,
     verify_main_theorem,
+    zeta,
 )
 from galois_trees.cli import main
 from galois_trees.errors import SpecFormatError
-from helpers import SPEC_DIR, dumbbell_z6_spec, icosahedron_spec, random_cover_spec
+from helpers import SPEC_DIR, count_calls, dumbbell_z6_spec, icosahedron_spec, random_cover_spec
+from oracles import contract_cover
 
 
 def test_parse_icosahedron_fixture():
@@ -52,6 +54,10 @@ def test_unknown_vertex_in_dilation():
         )
 
 
+# built as text: json.dumps of a list nested this deep recurses too
+DEEPLY_NESTED = '{"vertices": ' + "[" * 100_000 + "]" * 100_000 + "}"
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(SpecFormatError, match="invalid JSON"):
         parse_spec("{nope")
@@ -63,6 +69,17 @@ def test_parse_rejects_garbage():
         )
     with pytest.raises(SpecFormatError, match="positive ints"):
         parse_spec({"vertices": ["a"], "edges": [], "group": {"cyclic": [0]}})
+    with pytest.raises(SpecFormatError, match="invalid JSON"):
+        parse_spec(DEEPLY_NESTED)
+
+
+def test_cli_rejects_a_deeply_nested_spec(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text(DEEPLY_NESTED)
+    for command in ("verify", "zeta", "build"):
+        result = CliRunner().invoke(main, [command, str(path)])
+        assert result.exit_code == 2, (command, result.output)
+        assert result.stderr.startswith("error: invalid JSON")
 
 
 BOOLEAN_INT_SPECS = (
@@ -233,7 +250,7 @@ def test_verify_tree_base_with_dilated_endpoint():
 
 
 def test_verify_agrees_with_resolution_then_contraction():
-    from galois_trees import contract_cover, free_resolution, jacobian_group
+    from galois_trees import free_resolution, jacobian_group
 
     spec = dumbbell_z6_spec()
     resolved, added = free_resolution(spec)
@@ -329,6 +346,16 @@ def test_cli_zeta_and_lfunction():
         main, ["lfunction", str(SPEC_DIR / "dumbbell_z6.json"), "--character", "1"]
     )
     assert result.exit_code == 2
+
+
+def test_cli_zeta_census_takes_one_ihara_determinant(monkeypatch):
+    """The census is read off the Ihara reciprocal the command already has:
+    one determinant for the metric zeta, one for the Ihara zeta."""
+    calls = count_calls(monkeypatch, zeta, "det_over_ring")
+    args = ["zeta", str(SPEC_DIR / "theta.json"), "--max-length", "6"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 2
 
 
 def test_cli_zeta_rejects_negative_census_length():

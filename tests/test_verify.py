@@ -146,11 +146,12 @@ def rhs_over_cyclotomic_integers(spec, reports):
         orbit_product = MultiPoly.const(1)
         for conj in orbit:
             orbit_product = orbit_product * by_character[conj].polynomial
-        ints = orbit_product.map_coefficients(
-            lambda c: c if isinstance(c, int) else c.as_int()
-        )
-        assert None not in ints.terms.values()
-        product = product * ints
+        ints = {
+            mono: c if isinstance(c, int) else c.as_int()
+            for mono, c in orbit_product.terms.items()
+        }
+        assert None not in ints.values()
+        product = product * MultiPoly(ints)
     return product.exact_divide(n)
 
 
