@@ -374,9 +374,30 @@ class PackedKeys:
     def unpack(self, terms: dict[int, int]) -> MultiPoly:
         """The MultiPoly with these packed monomials and coefficients."""
         return MultiPoly({
-            tuple((v, e) for v, at, mask in self.fields if (e := key >> at & mask)): c
+            tuple([(v, e) for v, at, mask in self.fields if (e := key >> at & mask)]): c
             for key, c in terms.items()
         })
+
+    def value_mod(self, terms: dict[int, int], point: Mapping[str, int], modulus: int) -> int:
+        """Packed monomials with integer coefficients at an integer point, mod
+        modulus: ``value_mod`` of ``self.unpack(terms)``, with each field's
+        powers of its value read from one table (one pow per field value).
+
+        >>> keys, point = PackedKeys({"x": 3, "y": 2}), {"x": 3, "y": 5}
+        >>> terms = {2 * keys.unit["x"] + keys.unit["y"]: -4, 0: 1}  # 1 - 4 x^2 y
+        >>> keys.value_mod(terms, point, 97), value_mod(keys.unpack(terms), point, 1, 97)
+        (15, 15)
+        """
+        tables = [
+            (at, mask, [pow(point[v], e, modulus) for e in range(mask + 1)])
+            for v, at, mask in self.fields
+        ]
+        acc = 0
+        for key, c in terms.items():
+            for at, mask, powers in tables:
+                c = c * powers[key >> at & mask] % modulus
+            acc += c
+        return acc % modulus
 
 
 def mul_mod(a: dict[int, int], b: dict[int, int], modulus: int) -> dict[int, int]:

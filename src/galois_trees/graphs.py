@@ -14,7 +14,9 @@ so results are reproducible across runs and platforms.
 
 One breadth-first search (``_search``) answers every reachability
 question: ``is_connected`` and the vertex order of the tree sweep
-(``_breadth_first``).
+(``_breadth_first``).  The sweep (``tree_sweep``) keys each partition of its
+frontier by a str over fixed frontier slots, one character per slot, so a
+merge of two blocks is one ``str.replace`` and a departure one slice.
 """
 
 from __future__ import annotations
@@ -131,24 +133,32 @@ def edge_lengths(g: Graph, lengths: Mapping[str, int] | None) -> dict[str, int]:
     return out
 
 
-def _canonical(key: tuple[int, ...]) -> tuple[int, ...]:
-    """Renumber blocks in order of first occurrence."""
-    relabel: dict[int, int] = {}
-    return tuple([relabel.setdefault(b, len(relabel)) for b in key])
+def _leave(key: str, slots: list[int]) -> str | None:
+    r"""The key after the vertices at ``slots`` leave the frontier.
 
+    Each departure writes the dead marker "\x00" into its slot.  When the
+    slot led its block, the block's next live slot q takes over and the block
+    is relabelled chr(q + 1); when there is none, the block has closed, and
+    the result is None unless no live slot is left: no later edge can join
+    the block to the others.
 
-def _leave(key: tuple[int, ...], positions: list[int]) -> tuple[int, ...] | None:
-    """Drop departing frontier positions, given in descending order.
-
-    None when a block closes while another block is still open: no later
-    edge can join them.
+    >>> _leave("\x01\x01\x03", [0])  # slot 1 takes over block 1
+    '\x00\x02\x03'
+    >>> _leave("\x01\x02\x01", [1]) is None  # block 2 closes, block 1 is open
+    True
+    >>> _leave("\x00\x02\x02", [1, 2])  # the last block closes with the frontier
+    '\x00\x00\x00'
     """
-    for p in positions:
-        block = key[p]
-        key = key[:p] + key[p + 1:]
-        if key and block not in key:
-            return None
-    return _canonical(key)
+    for p in slots:
+        label = key[p]
+        key = key[:p] + "\x00" + key[p + 1:]
+        if label == chr(p + 1):
+            q = key.find(label)
+            if q >= 0:
+                key = key.replace(label, chr(q + 1))
+            elif key.strip("\x00"):
+                return None
+    return key
 
 
 def _add_into(states: dict, key, poly: dict[int, int]):
@@ -156,8 +166,9 @@ def _add_into(states: dict, key, poly: dict[int, int]):
     if dst is None:
         states[key] = poly
     else:
+        get = dst.get
         for m, c in poly.items():
-            dst[m] = dst.get(m, 0) + c
+            dst[m] = get(m, 0) + c
 
 
 def _breadth_first(g: Graph) -> list[str]:
@@ -193,18 +204,25 @@ def tree_sweep(g: Graph, unit: Mapping[str, int]) -> dict[int, int]:
     the order of their ends' positions in a breadth-first order of the
     vertices from a pseudo-peripheral vertex (``_breadth_first``), which
     keeps the frontier narrow on long sparse graphs such as cyclic covers.
-    The frontier is the list of vertices already met that still have an
-    unprocessed bundle; a state is a partition of the frontier into blocks
-    of the forest chosen so far, kept in canonical form, and maps to a
-    polynomial counting the forests that reach it.  Every state starts
-    from the product of all edge variables, loops included.  A bundle of k
-    edges with variable x either stays out of the forest, or, when its ends
-    lie in different blocks, puts one of its k edges in and merges the blocks
-    (times k, divided by x: its unit is subtracted).  A vertex leaves the
-    frontier after its last bundle; if its block then has no frontier vertex
-    left while another block does, the state can never become a tree and is
-    dropped.  Only the states of two consecutive steps are alive, and
-    nothing recurses.
+    The frontier holds the vertices already met that still have an
+    unprocessed bundle, each in a fixed slot: an entering vertex takes the
+    least free slot, and a slot is free again once its vertex has left.  A
+    state is a partition of the frontier into blocks of the forest chosen
+    so far, and maps to a polynomial counting the forests that reach it.
+    Its key is a str with one character per slot: a live slot holds
+    chr(1 + the least live slot of its block), a slot whose vertex has left
+    holds chr(0).  The slot layout depends only on the step, so the keys of
+    one step are comparable as they stand and no relabelling pass makes
+    them canonical; characters, unlike bytes, do not run out at 255 slots.
+    Every state starts from the product of all edge variables, loops
+    included.  A bundle of k edges with variable x either stays out of the
+    forest, or, when its ends lie in different blocks, puts one of its k
+    edges in and merges the blocks, one ``str.replace`` of the higher label
+    by the lower (times k, divided by x: its unit is subtracted).  A vertex
+    leaves the frontier after its last bundle (``_leave``); if its block
+    then has no frontier vertex left while another block does, the state
+    can never become a tree and is dropped.  Only the states of two
+    consecutive steps are alive, and nothing recurses.
     """
     idx = {v: i for i, v in enumerate(_breadth_first(g))}
     bundles: Counter[tuple[int, int, int]] = Counter()
@@ -217,21 +235,29 @@ def tree_sweep(g: Graph, unit: Mapping[str, int]) -> dict[int, int]:
     for step, ((i, j, _), _) in enumerate(blist):
         last[i] = last[j] = step
 
-    frontier: list[int] = []
-    states: dict[tuple[int, ...], dict[int, int]] = {(): {sum(unit[e] for e in g.edges): 1}}
+    slots: list[int | None] = []  # the frontier vertex at each slot, None once it has left
+    states: dict[str, dict[int, int]] = {"": {sum(unit[e] for e in g.edges): 1}}
     for step, ((i, j, u), k) in enumerate(blist):
-        entering = [v for v in (i, j) if v not in frontier]
-        frontier += entering
-        pi, pj = frontier.index(i), frontier.index(j)
-        leaving = sorted((frontier.index(v) for v in (i, j) if last[v] == step), reverse=True)
-        following: dict[tuple[int, ...], dict[int, int]] = {}
+        entering = []
+        for v in (i, j):
+            if v not in slots:
+                if None in slots:
+                    slots[slots.index(None)] = v
+                else:
+                    slots.append(v)
+                s = slots.index(v)
+                entering.append((s, chr(s + 1)))
+        pi, pj = slots.index(i), slots.index(j)
+        leaving = [p for p, v in ((pi, i), (pj, j)) if last[v] == step]
+        following: dict[str, dict[int, int]] = {}
         for key, poly in states.items():
-            for _ in entering:
-                key += (max(key, default=-1) + 1,)
+            for s, label in entering:
+                key = key[:s] + label + key[s + 1:]
             a, b = key[pi], key[pj]
             if a != b:
-                low, high = min(a, b), max(a, b)
-                merged = _leave(tuple([low if x == high else x for x in key]), leaving)
+                merged = key.replace(a, b) if a > b else key.replace(b, a)
+                if leaving:
+                    merged = _leave(merged, leaving)
                 if merged is not None:
                     _add_into(following, merged, {m - u: c * k for m, c in poly.items()})
             kept = _leave(key, leaving) if leaving else key
@@ -239,9 +265,9 @@ def tree_sweep(g: Graph, unit: Mapping[str, int]) -> dict[int, int]:
                 # ``poly`` is not read again, so the new state may take it over
                 _add_into(following, kept, poly)
         for p in leaving:
-            del frontier[p]
+            slots[p] = None
         states = following
-    return states.get((), {})
+    return states.get("\x00" * len(slots), {})
 
 
 def valencies(g: Graph) -> Counter[str]:

@@ -11,8 +11,7 @@ independent sets of size
 and each basis gets a weight: the product over the complementary genus-one
 components of (1 - value)(1 - conjugate value) at the component's cycle
 voltage, an exact cyclotomic integer.  The matroid sees G through an
-image map (the character's value exponent, or "nonzero in G" for the
-untwisted matroid, ``character=None``), and independence is the balance
+image map (the character's value exponent), and independence is the balance
 test of Zaslavsky's bias matroid: one union-find over the kept edges with
 voltage potentials.  ``bases`` runs it on integer images mod m: a basis
 leaves exactly one root (a seen dilated vertex or a cycle of nonzero image)
@@ -20,7 +19,8 @@ in each component, so a subset is dropped at the first kept edge that
 closes a cycle of image 0 or gives a component a second root.  The
 reference oracle, which inspects the components left by deleting an edge
 set (``covers._deletion_components``), lives with the tests, in
-``tests/oracles.py``.
+``tests/oracles.py``, as does the untwisted matroid, which sees G through
+"nonzero in G".
 
 Every entry point first requires a connected cover (``_require_usable``):
 it reads ``CoverSpec.connected``, a property decided from base data once
@@ -52,25 +52,23 @@ from .groups import Character
 __all__ = ["TwistedMatroid", "bases", "weight_polynomial"]
 
 
-def _require_usable(spec: CoverSpec, character: Character | None = None, trivial_error=None):
+def _require_usable(spec: CoverSpec, character: Character, trivial_error: str):
     """The cover must be connected (``CoverSpec.connected``, decided from base
     data once per spec object; a normalized spec is new on every
     ``build_cover``, so the verdict lasts one verification).  The
-    trivial-group and ``trivial_error`` checks (the latter rejects the
-    trivial character) run on every call.
+    trivial-group and trivial-character checks run on every call; the
+    latter raises ``trivial_error``.
     """
     if spec.group.is_trivial():
         raise ValueError("the matroid of a trivial cover is undefined")
     if not spec.connected:
         raise ValueError("the matroid requires a connected cover")
-    if trivial_error and character is not None and character.is_trivial():
+    if character.is_trivial():
         raise ValueError(trivial_error)
 
 
-def _image(spec: CoverSpec, character: Character | None):
-    """The map the matroid sees G through; 0 or False means unseen."""
-    if character is None:
-        return any  # a reduced element is nonzero when some residue is
+def _image(spec: CoverSpec, character: Character):
+    """The map the matroid sees G through; 0 means unseen."""
     if character.group != spec.group:
         raise ValueError("character and subgroup belong to different groups")
     return character.value_exponent

@@ -130,8 +130,9 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[TwistedMat
       exponent at most 1 in J_base and in each of the N - 1 P_rho.  That
       is the layout of the left side's tree sweep too.  Each orbit's
       product is taken first, then its product with prefactor_num * J_base;
-      the result is lifted and unpacked once, checked, and divided by N
-      over Z.
+      the result is lifted, checked and divided by N over Z with its keys
+      still packed (``PackedKeys.value_mod`` evaluates it for the extra
+      prime), and unpacked once.
 
     Two checks raise AssertionError explicitly, so they hold under
     ``python -O``.  Rationality: an orbit product is rational because the
@@ -193,17 +194,17 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[TwistedMat
         product = mul_mod(product, orbit_product, modulus)
 
     half = modulus // 2
-    lifted = keys.unpack({k: c - modulus if c > half else c for k, c in product.items()})
+    lifted = {k: c - modulus if c > half else c for k, c in product.items()}
     omega_q = root_of_unity(m, q)
     point = {v: 2 + i for i, v in enumerate(keys.unit)}
     expected = prefactor_num
     for f in factors:
         expected = expected * value_mod(f, point, omega_q, q) % q
-    if value_mod(lifted, point, omega_q, q) != expected:
+    if keys.value_mod(lifted, point, q) != expected:
         raise AssertionError("the multimodular right-hand side disagrees modulo an extra prime")
-    if any(c % n for c in lifted.terms.values()):
+    if any(c % n for c in lifted.values()):
         raise AssertionError("the right-hand side must be divisible by |G|")
-    rhs = MultiPoly({mono: c // n for mono, c in lifted.terms.items()})
+    rhs = keys.unpack({k: c // n for k, c in lifted.items()})
     return base_poly, prefactor, reports, rhs, rhs.value_at_ones()
 
 

@@ -17,6 +17,7 @@ from collections import Counter
 from itertools import combinations
 from typing import Iterable, Mapping
 
+from galois_trees import matroids
 from galois_trees.algebra import CycInt, MultiPoly, weight_of_root
 from galois_trees.algebra.modular import PackedKeys
 from galois_trees.algebra.multipoly import Monomial
@@ -40,7 +41,7 @@ from galois_trees.groups import (
     subgroup_from_generators,
     subgroup_sum,
 )
-from galois_trees.matroids import _image, _require_usable, _seen_dilation
+from galois_trees.matroids import _seen_dilation
 
 # -- graphs -------------------------------------------------------------
 
@@ -411,6 +412,26 @@ def switch_voltages(spec: CoverSpec, potentials: Mapping[str, Element]) -> Cover
 
 
 # -- matroids -----------------------------------------------------------
+
+
+def _require_usable(spec: CoverSpec, character: Character | None = None, trivial_error=None):
+    """``matroids._require_usable`` with the character check optional: with
+    no character (the untwisted matroid) or no ``trivial_error``, only the
+    trivial-group and connectivity checks run."""
+    if character is not None and trivial_error:
+        matroids._require_usable(spec, character, trivial_error)
+    elif spec.group.is_trivial():
+        raise ValueError("the matroid of a trivial cover is undefined")
+    elif not spec.connected:
+        raise ValueError("the matroid requires a connected cover")
+
+
+def _image(spec: CoverSpec, character: Character | None):
+    """``matroids._image``, or "nonzero in G" for the untwisted matroid
+    (``character=None``); 0 or False means unseen."""
+    if character is None:
+        return any  # a reduced element is nonzero when some residue is
+    return matroids._image(spec, character)
 
 
 def _oracle(spec: CoverSpec, image):

@@ -26,6 +26,7 @@ from galois_trees import (
 from galois_trees.algebra import intmat
 from galois_trees.algebra.modular import (
     SMALL_PRIME_LIMIT,
+    PackedKeys,
     charpoly_mod,
     det_mod,
     evaluate_mod,
@@ -34,6 +35,7 @@ from galois_trees.algebra.modular import (
     split_modulus,
     split_prime,
     split_primes,
+    value_mod,
 )
 from galois_trees.errors import ExactDivisionError
 from helpers import count_calls, smith_reference
@@ -700,6 +702,27 @@ def test_det_over_ring_entry_types():
     ):
         with pytest.raises(ValueError):
             det_over_ring(rows, lengths)
+
+
+def test_packed_value_mod_matches_the_unpacked_value():
+    """``PackedKeys.value_mod`` equals ``value_mod`` of the unpacked dict, with
+    signed coefficients and every exponent a field holds, its full width too."""
+    rng = random.Random(23)
+    full_width = 0
+    for _ in range(40):
+        largest = {v: rng.randint(1, 40) for v in rng.sample("abcdef", rng.randint(1, 4))}
+        keys = PackedKeys(largest)
+        p = rng.choice((split_prime(4, 0, SMALL_PRIME_LIMIT), split_prime(12, 0)))
+        point = {v: rng.randrange(p) for v in largest}
+        terms = {}
+        for _ in range(rng.randint(0, 30)):
+            key = sum(rng.randint(0, mask) << at for _, at, mask in keys.fields)
+            terms[key] = rng.randint(-3 * p, 3 * p)
+        full = sum(mask << at for _, at, mask in keys.fields)
+        terms[full] = -rng.randint(1, 2**70)
+        full_width += any(mask > largest[v] for v, _, mask in keys.fields)
+        assert keys.value_mod(terms, point, p) == value_mod(keys.unpack(terms), point, 1, p)
+    assert full_width  # some field holds exponents beyond its largest
 
 
 def _big_polynomial_matrix():

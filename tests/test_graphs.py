@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -258,6 +259,29 @@ def test_sweep_starts_at_a_pseudo_peripheral_vertex(monkeypatch):
     assert sum(complements.values()) == 1351 == len(spanning_trees_bruteforce(g))
     # state merges: 206 in breadth-first order from "a", 81 from the far end
     assert len(merges) == 81
+
+
+def test_sweep_counts_complements_like_bruteforce():
+    """``tree_sweep``'s packed complement counts equal a tally over every
+    spanning tree, on multigraphs with loops and parallel edges whose edges
+    share two or three labels."""
+    rng = random.Random(47)
+    seen = Counter()
+    for _ in range(30):
+        g = random_connected_multigraph(rng, 8, 13)
+        names = "xyz"[: rng.randint(2, 3)]
+        labels = {e: rng.choice(names) for e in g.edges}
+        keys = PackedKeys(Counter(labels.values()))
+        unit = {e: keys.unit[labels[e]] for e in g.edges}
+        tally = Counter(
+            sum(unit[e] for e in g.edges if e not in tree)
+            for tree in spanning_trees_bruteforce(g)
+        )
+        assert tree_sweep(g, unit) == dict(tally)
+        seen["loop"] += any(g.is_loop(e) for e in g.edges)
+        bundles = Counter((frozenset(g.ends[e]), labels[e]) for e in g.edges if not g.is_loop(e))
+        seen["parallel"] += any(k > 1 for k in bundles.values())
+    assert seen["loop"] and seen["parallel"]
 
 
 def test_sweep_refuses_two_components():

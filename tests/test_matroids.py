@@ -24,7 +24,6 @@ from galois_trees import (
     weight_of_root,
     weight_polynomial,
 )
-from galois_trees.matroids import _require_usable
 from galois_trees.specfile import parse_spec
 from helpers import (
     RANDOM_GROUPS,
@@ -38,6 +37,7 @@ from helpers import (
     theta_graph,
 )
 from oracles import (
+    _require_usable,
     basis_weight,
     is_homogeneous,
     is_independent,
