@@ -378,27 +378,6 @@ class PackedKeys:
             for key, c in terms.items()
         })
 
-    def value_mod(self, terms: dict[int, int], point: Mapping[str, int], modulus: int) -> int:
-        """Packed monomials with integer coefficients at an integer point, mod
-        modulus: ``value_mod`` of ``self.unpack(terms)``, with each field's
-        powers of its value read from one table (one pow per field value).
-
-        >>> keys, point = PackedKeys({"x": 3, "y": 2}), {"x": 3, "y": 5}
-        >>> terms = {2 * keys.unit["x"] + keys.unit["y"]: -4, 0: 1}  # 1 - 4 x^2 y
-        >>> keys.value_mod(terms, point, 97), value_mod(keys.unpack(terms), point, 1, 97)
-        (15, 15)
-        """
-        tables = [
-            (at, mask, [pow(point[v], e, modulus) for e in range(mask + 1)])
-            for v, at, mask in self.fields
-        ]
-        acc = 0
-        for key, c in terms.items():
-            for at, mask, powers in tables:
-                c = c * powers[key >> at & mask] % modulus
-            acc += c
-        return acc % modulus
-
 
 def mul_mod(a: dict[int, int], b: dict[int, int], modulus: int) -> dict[int, int]:
     """The product of two packed polynomials, coefficients reduced mod modulus."""
@@ -411,18 +390,16 @@ def mul_mod(a: dict[int, int], b: dict[int, int], modulus: int) -> dict[int, int
     return {k: r for k, c in out.items() if (r := c % modulus)}
 
 
-def value_mod(poly: MultiPoly, point: dict[str, int], omega: int, modulus: int) -> int:
-    """poly at an integer point under zeta -> omega, mod modulus.
+def value_mod(terms: dict[int, int], base: int, modulus: int) -> int:
+    """Packed monomials with integer coefficients, mod modulus, at the point
+    x_v = base^unit_v: a key is the sum of e_v unit_v, so its monomial is
+    base^key there, one pow per term.  Keys add as monomials multiply, so
+    this is a ring map whatever the layout.
 
-    >>> x = MultiPoly.variable("x")
-    >>> value_mod(x * x * CycInt.root(4, 1) + 5, {"x": 3}, 5, 13)  # 5^2 = -1 mod 13
-    11
+    >>> keys = PackedKeys({"x": 3, "y": 2})
+    >>> terms = {2 * keys.unit["x"] + keys.unit["y"]: -4, 0: 1}  # 1 - 4 x^2 y
+    >>> x, y = (pow(5, keys.unit[v], 97) for v in "xy")
+    >>> value_mod(terms, 5, 97) == (1 - 4 * x * x * y) % 97
+    True
     """
-    acc = 0
-    for mono, c in poly.terms.items():
-        term = to_residue(c, omega, modulus)
-        for v, e in mono:
-            term = term * pow(point[v], e, modulus) % modulus
-        acc += term
-    return acc % modulus
-
+    return sum(c * pow(base, k, modulus) for k, c in terms.items()) % modulus

@@ -131,8 +131,7 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[TwistedMat
       is the layout of the left side's tree sweep too.  Each orbit's
       product is taken first, then its product with prefactor_num * J_base;
       the result is lifted, checked and divided by N over Z with its keys
-      still packed (``PackedKeys.value_mod`` evaluates it for the extra
-      prime), and unpacked once.
+      still packed, and unpacked once.
 
     Two checks raise AssertionError explicitly, so they hold under
     ``python -O``.  Rationality: an orbit product is rational because the
@@ -141,9 +140,10 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[TwistedMat
     m) must equal its image under zeta -> omega.  That one sigma_j generates
     Gal(Q(zeta_m)/Q) only when (Z/m)^* is cyclic; at m = 12 or 24 a product
     that is sigma_j-invariant but not rational passes it.  Extra prime:
-    modulo one more split prime, unused by the CRT, the lifted product at a
-    fixed integer point must equal prefactor_num * J_base * prod_rho P_rho
-    there; this is the check that rejects such a product.
+    modulo one more split prime, unused by the CRT, the lifted product at the
+    point x_v = 2^unit_v must equal prefactor_num * J_base * prod_rho P_rho
+    there (``modular.value_mod`` evaluates each packed dict, one pow per
+    term); this is the check that rejects such a product.
     """
     group = spec.group
     n, m = group.order, group.exponent
@@ -196,11 +196,10 @@ def assemble_rhs(spec: CoverSpec) -> tuple[MultiPoly, Fraction, tuple[TwistedMat
     half = modulus // 2
     lifted = {k: c - modulus if c > half else c for k, c in product.items()}
     omega_q = root_of_unity(m, q)
-    point = {v: 2 + i for i, v in enumerate(keys.unit)}
-    expected = prefactor_num
+    expected = prefactor_num  # every value at x_v = 2^unit_v
     for f in factors:
-        expected = expected * value_mod(f, point, omega_q, q) % q
-    if keys.value_mod(lifted, point, q) != expected:
+        expected = expected * value_mod(keys.residues(f, omega_q, q), 2, q) % q
+    if value_mod(lifted, 2, q) != expected:
         raise AssertionError("the multimodular right-hand side disagrees modulo an extra prime")
     if any(c % n for c in lifted.values()):
         raise AssertionError("the right-hand side must be divisible by |G|")

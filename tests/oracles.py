@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 
 from galois_trees import matroids
 from galois_trees.algebra import CycInt, MultiPoly, weight_of_root
-from galois_trees.algebra.modular import PackedKeys
+from galois_trees.algebra.modular import PackedKeys, to_residue
 from galois_trees.algebra.multipoly import Monomial
 from galois_trees.covers import Cover, CoverSpec, _deletion_components, _fmt
 from galois_trees.graphs import (
@@ -538,6 +538,18 @@ def evaluate(p: MultiPoly, values: Mapping[str, object]):
             term = term * values[v] ** e
         acc = acc + term
     return acc
+
+
+def value_mod(p: MultiPoly, point: Mapping[str, int], omega: int, modulus: int) -> int:
+    """p at an integer point under zeta -> omega, mod modulus, term by term:
+    one pow per variable of every term."""
+    acc = 0
+    for mono, c in p.terms.items():
+        term = to_residue(c, omega, modulus)
+        for v, e in mono:
+            term = term * pow(point[v], e, modulus) % modulus
+        acc += term
+    return acc % modulus
 
 
 def substitute(p: MultiPoly, var: str, replacement) -> MultiPoly:

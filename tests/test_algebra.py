@@ -39,7 +39,7 @@ from galois_trees.algebra.modular import (
 )
 from galois_trees.errors import ExactDivisionError
 from helpers import count_calls, smith_reference
-from oracles import evaluate, substitute
+from oracles import evaluate, substitute, value_mod as unpacked_value_mod
 
 
 def test_cyclotomic_polynomials():
@@ -705,15 +705,17 @@ def test_det_over_ring_entry_types():
 
 
 def test_packed_value_mod_matches_the_unpacked_value():
-    """``PackedKeys.value_mod`` equals ``value_mod`` of the unpacked dict, with
-    signed coefficients and every exponent a field holds, its full width too."""
+    """``value_mod`` of a packed dict equals the unpacked polynomial's value at
+    x_v = base^unit_v, taken term by term, with signed coefficients and every
+    exponent a field holds, its full width too."""
     rng = random.Random(23)
     full_width = 0
     for _ in range(40):
         largest = {v: rng.randint(1, 40) for v in rng.sample("abcdef", rng.randint(1, 4))}
         keys = PackedKeys(largest)
         p = rng.choice((split_prime(4, 0, SMALL_PRIME_LIMIT), split_prime(12, 0)))
-        point = {v: rng.randrange(p) for v in largest}
+        base = rng.randrange(2, p)
+        point = {v: pow(base, keys.unit[v], p) for v in largest}
         terms = {}
         for _ in range(rng.randint(0, 30)):
             key = sum(rng.randint(0, mask) << at for _, at, mask in keys.fields)
@@ -721,7 +723,7 @@ def test_packed_value_mod_matches_the_unpacked_value():
         full = sum(mask << at for _, at, mask in keys.fields)
         terms[full] = -rng.randint(1, 2**70)
         full_width += any(mask > largest[v] for v, _, mask in keys.fields)
-        assert keys.value_mod(terms, point, p) == value_mod(keys.unpack(terms), point, 1, p)
+        assert value_mod(terms, base, p) == unpacked_value_mod(keys.unpack(terms), point, 1, p)
     assert full_width  # some field holds exponents beyond its largest
 
 

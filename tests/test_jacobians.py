@@ -431,6 +431,12 @@ def test_tree_sweep_matches_bruteforce_random():
         seen["one vertex"] += len(g.vertices) == 1
     # the population has loops, parallel edges sharing a label, single vertices
     assert min(seen.values()) > 0 and len(seen) == 3
+    # wider graphs, whose frontiers free and refill slots, on two or three labels
+    for _ in range(30):
+        g = random_connected_multigraph(rng, 8, 13)
+        names = "xyz"[: rng.randint(2, 3)]
+        labels = {e: rng.choice(names) for e in g.edges}
+        assert labeled_jacobian_polynomial(g, labels) == _bruteforce_tree_polynomial(g, labels)
     # "w" is carried by loops only, and "x" by 1, 2, 4 or 8 edges, a loop
     # among them from 2 on: a field sized by non-loop edges alone would
     # carry into its neighbour

@@ -497,4 +497,6 @@ def test_usability_verdicts_are_kept_per_spec_object(monkeypatch):
     for _ in range(2):
         with pytest.raises(ValueError, match="trivial cover"):
             untwisted_bases(trivial)
+        with pytest.raises(ValueError, match="trivial cover"):  # the package's own check
+            bases(trivial, characters(trivial.group)[0])
     assert len(passes) == 3
