@@ -270,29 +270,7 @@ class CycInt:
         }
 
     def __repr__(self):
-        n = self.as_int()
-        if n is not None:
-            return f"CycInt({self.conductor}, {n})"
         return f"CycInt({self.conductor}, {self.coeffs})"
-
-    def __str__(self):
-        n = self.as_int()
-        if n is not None:
-            return str(n)
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            var = "" if i == 0 else (f"z{self.conductor}" if i == 1 else f"z{self.conductor}^{i}")
-            if i == 0:
-                parts.append(str(c))
-            elif c == 1:
-                parts.append(var)
-            elif c == -1:
-                parts.append(f"-{var}")
-            else:
-                parts.append(f"{c}*{var}")
-        return " + ".join(parts).replace("+ -", "- ")
 
 
 def ring_power(base, n: int, one):

@@ -74,10 +74,6 @@ class MultiPoly:
     def variable(name: str) -> MultiPoly:
         return MultiPoly({((name, 1),): 1})
 
-    @staticmethod
-    def zero() -> MultiPoly:
-        return MultiPoly()
-
     # -- ring operations ------------------------------------------------
 
     def _coerce(self, other):
@@ -188,7 +184,7 @@ class MultiPoly:
                     rem[mono] = a
             if rem:
                 raise ExactDivisionError(
-                    f"division leaves remainder {MultiPoly(rem)}", remainder=MultiPoly(rem)
+                    f"division leaves remainder {MultiPoly(rem)!r}", remainder=MultiPoly(rem)
                 )
             return MultiPoly(quot)
         varlist = tuple(sorted(set(self.variables()) | set(den.variables())))
@@ -206,14 +202,14 @@ class MultiPoly:
             qm = _mono_div(lead, den_lead)
             if qm is None:
                 raise ExactDivisionError(
-                    f"division leaves remainder {MultiPoly(rem)}",
+                    f"division leaves remainder {MultiPoly(rem)!r}",
                     remainder=MultiPoly(rem),
                 )
             try:
                 qc = _coeff_quotient(rem[lead], den_lead_coeff)
             except ExactDivisionError as exc:
                 raise ExactDivisionError(
-                    f"division leaves remainder {MultiPoly(rem)}",
+                    f"division leaves remainder {MultiPoly(rem)!r}",
                     remainder=MultiPoly(rem),
                 ) from exc
             quot[qm] = quot.get(qm, 0) + qc
@@ -226,34 +222,12 @@ class MultiPoly:
                     rem.pop(target, None)
         return MultiPoly(quot)
 
-    def canonical_terms(self) -> list[tuple[Monomial, object]]:
-        return sorted(self.terms.items(), key=lambda item: item[0])
-
     def to_jsonable(self) -> list[dict]:
+        # the monomials are distinct, so sorting never compares two coefficients
         return [
             {"coeff": jsonable_coefficient(c), "exps": dict(mono)}
-            for mono, c in self.canonical_terms()
+            for mono, c in sorted(self.terms.items())
         ]
 
     def __repr__(self):
         return f"MultiPoly({self.terms!r})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono, c in self.canonical_terms():
-            factors = [f"{v}^{e}" if e > 1 else v for v, e in mono]
-            cs = str(c)
-            if not (isinstance(c, int) or (isinstance(c, CycInt) and c.as_int() is not None)):
-                cs = f"({cs})"
-            if not factors:
-                parts.append(cs)
-            elif cs == "1":
-                parts.append("*".join(factors))
-            elif cs == "-1":
-                parts.append("-" + "*".join(factors))
-            else:
-                parts.append(cs + "*" + "*".join(factors))
-        return " + ".join(parts).replace("+ -", "- ")
-

@@ -1,4 +1,4 @@
-"""Dense univariate polynomials over Z, Q, or Z[zeta_m].
+"""Dense univariate polynomials over Z or Z[zeta_m].
 
 Coefficients are stored ascending with trailing zeros trimmed.  The variable
 is conventionally called ``s`` (these polynomials hold zeta- and L-function
@@ -17,14 +17,9 @@ where it costs about 10 us a product and a CycInt product several a term.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import accumulate
 
 from .cyclotomic import CycInt, euler_phi, jsonable_coefficient, ring_power
-
-
-def _zero(c) -> bool:
-    return not c
 
 
 def _kronecker_product(a: tuple, b: tuple, m: int) -> list[CycInt]:
@@ -64,7 +59,7 @@ class UniPoly:
 
     def __init__(self, coeffs=()):
         coeffs = list(coeffs)
-        while coeffs and _zero(coeffs[-1]):
+        while coeffs and not coeffs[-1]:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
 
@@ -75,22 +70,13 @@ class UniPoly:
     def const(c) -> UniPoly:
         return UniPoly((c,))
 
-    @staticmethod
-    def monomial(k: int, c=1) -> UniPoly:
-        """c * s^k"""
-        return UniPoly((0,) * k + (c,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __bool__(self):
         return bool(self.coeffs)
 
     def _coerce(self, other):
         if isinstance(other, UniPoly):
             return other
-        if isinstance(other, (int, Fraction, CycInt)):
+        if isinstance(other, (int, CycInt)):
             return UniPoly.const(other)
         return None
 
@@ -127,16 +113,14 @@ class UniPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return UniPoly()
-        # the CycInt conductors among the coefficients, None for a Fraction
-        kinds = {c.conductor if isinstance(c, CycInt) else 0 if isinstance(c, int) else None
-                 for c in a + b} - {0}
-        if len(kinds) == 1 and None not in kinds and len(a) * len(b) > 1:
+        kinds = {c.conductor for c in a + b if isinstance(c, CycInt)}
+        if len(kinds) == 1 and len(a) * len(b) > 1:
             return UniPoly(_kronecker_product(a, b, kinds.pop()))
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
-            if not _zero(x):
+            if x:
                 for j, y in enumerate(b):
-                    if not _zero(y):
+                    if y:
                         out[i + j] = out[i + j] + x * y
         return UniPoly(out)
 
@@ -175,7 +159,7 @@ class UniPoly:
         coeffs = self.coeffs
         for order in range(len(coeffs)):
             sums = list(accumulate(reversed(coeffs)))
-            if not _zero(sums[-1]):
+            if sums[-1]:
                 return order, sums[-1]
             coeffs = sums[-2::-1]
         raise ValueError("zero polynomial has no vanishing order")
@@ -185,20 +169,3 @@ class UniPoly:
 
     def __repr__(self):
         return f"UniPoly({self.coeffs})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if _zero(c):
-                continue
-            cs = str(c)
-            if not (isinstance(c, int) or (isinstance(c, CycInt) and c.as_int() is not None)):
-                cs = f"({cs})"
-            if i == 0:
-                parts.append(cs)
-            else:
-                var = "s" if i == 1 else f"s^{i}"
-                parts.append(var if cs == "1" else f"-{var}" if cs == "-1" else f"{cs}*{var}")
-        return " + ".join(parts).replace("+ -", "- ")

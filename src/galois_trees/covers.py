@@ -191,13 +191,6 @@ class Cover:
     def vertex_fiber(self, v: str) -> tuple[str, ...]:
         return tuple(sorted(tv for tv, bv in self.vertex_map.items() if bv == v))
 
-    def edge_fiber(self, e: str) -> tuple[str, ...]:
-        return tuple(sorted(te for te, be in self.edge_map.items() if be == e))
-
-    @property
-    def degree(self) -> int:
-        return self.group.order
-
 
 def build_cover(spec: CoverSpec) -> Cover:
     """Construct the total graph of a cover specification fiber by fiber."""

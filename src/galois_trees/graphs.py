@@ -1,16 +1,12 @@
-"""Multigraphs in half-edge form.
+"""Multigraphs: vertex ids, edge ids, and one ordered endpoint pair per edge.
 
-A graph is a set of vertices, a set of half-edges paired by a fixed-point
-free involution, and a root map sending each half-edge to a vertex.  Loops
-and parallel edges are both allowed and occur throughout; nothing in this
-package may assume simple graphs.
-
-Concretely we store each edge as an id together with an ordered endpoint
-pair (source, target); that pair is the canonical orientation.  The half
-edges of an edge ``e`` are ``(e, 0)`` (rooted at the source) and ``(e, 1)``
-(rooted at the target), and the involution swaps the two.  All ids are
-caller-supplied strings, and every enumeration is ordered lexicographically
-so results are reproducible across runs and platforms.
+A graph stores its vertex ids, its edge ids, and for each edge id one
+ordered endpoint pair (source, target), which is the edge's canonical
+orientation.  Loops (source equal to target) and parallel edges are both
+allowed and occur throughout; nothing in this package may assume simple
+graphs.  All ids are caller-supplied strings, and every enumeration is
+ordered lexicographically so results are reproducible across runs and
+platforms.
 
 One breadth-first search (``_search``) answers every reachability
 question: ``is_connected`` and the vertex order of the tree sweep
@@ -25,7 +21,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-HalfEdge = tuple[str, int]
 EdgeSubset = tuple[str, ...]
 
 
@@ -34,20 +29,6 @@ class Graph:
     vertices: tuple[str, ...]
     edges: tuple[str, ...]
     ends: dict[str, tuple[str, str]]
-
-    @property
-    def half_edges(self) -> tuple[HalfEdge, ...]:
-        return tuple((e, side) for e in self.edges for side in (0, 1))
-
-    def involution(self, h: HalfEdge) -> HalfEdge:
-        return (h[0], 1 - h[1])
-
-    def root(self, h: HalfEdge) -> str:
-        return self.ends[h[0]][h[1]]
-
-    def is_loop(self, e: str) -> bool:
-        s, t = self.ends[e]
-        return s == t
 
 
 def build_graph(

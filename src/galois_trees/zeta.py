@@ -122,7 +122,7 @@ def _three_term(g: Graph, adjacency: list[dict]) -> UniPoly:
     # a tree: no closed reduced walks, and A_rho is A conjugated by a diagonal
     # of roots of unity, so the determinant is 1 - s^2 and the reciprocal 1
     if det != UniPoly((1, 0, -1)):
-        raise AssertionError(f"the determinant on a tree is {det}, not 1 - s^2")
+        raise AssertionError(f"the determinant on a tree is {det!r}, not 1 - s^2")
     return UniPoly.const(det.coeffs[0])
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 from galois_trees import (
     AbelianGroup,
     CoverSpec,
+    UniPoly,
     build_cover,
     build_graph,
     graphs,
@@ -18,6 +19,15 @@ from galois_trees import (
 )
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+
+def is_loop(g: graphs.Graph, e: str) -> bool:
+    s, t = g.ends[e]
+    return s == t
+
+
+def degree(p: UniPoly) -> int:
+    return len(p.coeffs) - 1
 
 
 def theta_graph():

@@ -238,6 +238,10 @@ def _translate(group: AbelianGroup, gelt: Element, label: str) -> str:
     return f"{name}@{_fmt(group.add(gelt, a))}"
 
 
+def edge_fiber(cover: Cover, e: str) -> tuple[str, ...]:
+    return tuple(sorted(te for te, be in cover.edge_map.items() if be == e))
+
+
 def validate_cover(cover: Cover):
     """Check the defining invariants of a cover; raises AssertionError.
 
@@ -252,7 +256,7 @@ def validate_cover(cover: Cover):
     total, base, group = cover.total, cover.base, cover.group
     n = group.order
     for e in base.edges:
-        _check(len(cover.edge_fiber(e)) == n, f"edge fiber over {e} has the wrong size")
+        _check(len(edge_fiber(cover, e)) == n, f"edge fiber over {e} has the wrong size")
     for v in base.vertices:
         fiber = cover.vertex_fiber(v)
         _check(n % len(fiber) == 0, f"vertex fiber over {v} has size {len(fiber)}")
@@ -268,7 +272,7 @@ def validate_cover(cover: Cover):
     incident = {tv for ends in total.ends.values() for tv in ends}
     edgeless = [tv for tv in total.vertices if tv not in incident]
     owner = {m: tv for tv in edgeless for m in tv.split("+") if _LABEL.fullmatch(m)}
-    edge_orbits = {min(cover.edge_fiber(e)): set() for e in base.edges}
+    edge_orbits = {min(edge_fiber(cover, e)): set() for e in base.edges}
     vertex_orbits = {min(cover.vertex_fiber(v)): set() for v in base.vertices}
     for gelt in group.elements():
         pairs = []
@@ -292,7 +296,7 @@ def validate_cover(cover: Cover):
     # |G| distinct translates filling the fiber: free and transitive
     for start, orbit in edge_orbits.items():
         _check(
-            len(orbit) == n and orbit == set(cover.edge_fiber(cover.edge_map[start])),
+            len(orbit) == n and orbit == set(edge_fiber(cover, cover.edge_map[start])),
             f"translation is not free and transitive on the fiber of {start}",
         )
     for start, orbit in vertex_orbits.items():
@@ -571,7 +575,7 @@ def substitute(p: MultiPoly, var: str, replacement) -> MultiPoly:
     repl = p._coerce(replacement)
     if repl is None:
         raise TypeError(f"cannot substitute {replacement!r}")
-    acc = MultiPoly.zero()
+    acc = MultiPoly()
     powers = {0: MultiPoly.const(1)}
     for mono, c in p.terms.items():
         exps = dict(mono)

@@ -14,6 +14,7 @@ from helpers import (
     count_calls,
     dumbbell_graph,
     icosahedron_quotient_graph,
+    is_loop,
     random_connected_multigraph,
     theta_graph,
     triangle_graph,
@@ -31,16 +32,12 @@ def test_build_theta():
     g = theta_graph()
     assert g.vertices == ("u", "w")
     assert g.edges == ("e", "f", "g")
-    assert len(g.half_edges) == 6
-    for h in g.half_edges:
-        assert g.involution(h) != h
-        assert g.involution(g.involution(h)) == h
-    assert g.root(("e", 0)) == "u" and g.root(("e", 1)) == "w"
+    assert g.ends["e"] == ("u", "w")
 
 
 def test_build_dumbbell_loops():
     g = dumbbell_graph()
-    assert g.is_loop("e1") and g.is_loop("e2") and not g.is_loop("e3")
+    assert is_loop(g, "e1") and is_loop(g, "e2") and not is_loop(g, "e3")
     assert valencies(g)["v1"] == 3
 
 
@@ -100,7 +97,7 @@ def test_contract_bridge_merges():
     g, proj = contract(dumbbell_graph(), ["e3"])
     assert len(g.vertices) == 1
     assert g.edges == ("e1", "e2")
-    assert all(g.is_loop(e) for e in g.edges)
+    assert all(is_loop(g, e) for e in g.edges)
     assert proj["v1"] == proj["v2"]
 
 
@@ -150,7 +147,6 @@ def test_random_graph_invariants():
     rng = random.Random(1)
     for _ in range(40):
         g = random_connected_multigraph(rng, 6, 9)
-        assert len(g.half_edges) == 2 * len(g.edges)
         valency = valencies(g)
         assert sum(valency[v] for v in g.vertices) == 2 * len(g.edges)
         assert degree_sequence(g) == tuple(sorted(valency[v] for v in g.vertices))
@@ -171,8 +167,8 @@ def test_contract_genus_behaviour():
     rng = random.Random(3)
     for _ in range(30):
         g = random_connected_multigraph(rng, 5, 8)
-        loops = [e for e in g.edges if g.is_loop(e)]
-        non_loops = [e for e in g.edges if not g.is_loop(e)]
+        loops = [e for e in g.edges if is_loop(g, e)]
+        non_loops = [e for e in g.edges if not is_loop(g, e)]
         if non_loops:
             # contracting a random forest preserves genus
             idx = {v: i for i, v in enumerate(g.vertices)}

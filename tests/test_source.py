@@ -116,39 +116,95 @@ def _is_click_command(definition) -> bool:
     return False
 
 
+def _package_modules() -> dict[Path, ast.Module]:
+    return {
+        path: ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+
+
+def _benchmark_modules() -> list[ast.Module]:
+    """The benchmark's modules (``perfbench/``), its tests aside."""
+    bench = PACKAGE.parent.parent / "perfbench"
+    trees = [
+        ast.parse(p.read_text(encoding="utf-8"), str(p))
+        for p in bench.rglob("*.py")
+        if "tests" not in p.relative_to(bench).parts
+    ]
+    assert trees
+    return trees
+
+
+def _used_by_other_modules(modules) -> dict[Path, set[str]]:
+    """For each package module, the names the other package modules use;
+    ``__init__.py`` re-exports do not count."""
+    by_module = {path: _referenced(tree) for path, tree in modules.items()}
+    return {
+        path: set().union(*(
+            names for other, names in by_module.items()
+            if other != path and other.name != "__init__.py"
+        ))
+        for path in modules
+    }
+
+
 def test_every_public_definition_has_a_caller():
     """The package is the verifier: every public module-level function or
     class is used by another package module (``__init__.py`` re-exports do
     not count), by its own module outside its own body, or by the benchmark
     (``perfbench/``, its tests aside).  What only tests call belongs in
     ``tests/oracles.py``."""
-    modules = {
-        path: ast.parse(path.read_text(encoding="utf-8"), str(path))
-        for path in sorted(PACKAGE.rglob("*.py"))
-    }
-    bench = PACKAGE.parent.parent / "perfbench"
-    bench_files = [p for p in bench.rglob("*.py") if "tests" not in p.relative_to(bench).parts]
-    assert bench_files
-    outside = set().union(*(
-        _referenced(ast.parse(p.read_text(encoding="utf-8"), str(p))) for p in bench_files
-    ))
-    by_module = {path: _referenced(tree) for path, tree in modules.items()}
+    modules = _package_modules()
+    outside = set().union(*map(_referenced, _benchmark_modules()))
+    others = _used_by_other_modules(modules)
     uncalled = []
     for path, tree in modules.items():
-        others = set().union(*(
-            names for other, names in by_module.items()
-            if other != path and other.name != "__init__.py"
-        ))
         for definition in tree.body:
             if not isinstance(definition, (ast.FunctionDef, ast.ClassDef)):
                 continue
             name = definition.name
             if name.startswith("_") or _is_click_command(definition):
                 continue
-            if name in others or name in outside or name in _referenced(tree, [definition]):
+            if name in others[path] or name in outside or name in _referenced(tree, [definition]):
                 continue
             uncalled.append(name)
     assert sorted(uncalled) == sorted(UNCALLED_PUBLIC)
+
+
+def test_every_public_method_has_a_caller():
+    """The same rule for the methods and properties of package classes:
+    every public one is referenced outside its own body, by its own module,
+    another package module or the benchmark, where a string constant counts
+    too, since the tracer binds a method such as ``exact_divide`` by name.
+    What only tests call becomes a test helper.
+
+    The rule goes by name, so a method shares the callers of every other
+    definition of its name: ``CycInt.root`` hid a ``Graph.root``, and
+    ``AbelianGroup.zero`` a ``MultiPoly.zero``, neither of which had a
+    caller.  Dunders are left out; which arithmetic dunders the package
+    needs is ROADMAP item 12's question."""
+    modules = _package_modules()
+    bench = _benchmark_modules()
+    outside = set().union(*map(_referenced, bench)) | {
+        node.value
+        for tree in bench
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    others = _used_by_other_modules(modules)
+    uncalled = []
+    for path, tree in modules.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for method in cls.body:
+                if not isinstance(method, ast.FunctionDef) or method.name.startswith("_"):
+                    continue
+                name = method.name
+                if name in others[path] or name in outside or name in _referenced(tree, [method]):
+                    continue
+                uncalled.append(f"{cls.name}.{name}")
+    assert uncalled == []
 
 
 def test_cli_import_loads_no_new_module():

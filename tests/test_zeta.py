@@ -32,9 +32,11 @@ from helpers import (
     SPEC_DIR,
     count_calls,
     count_searches,
+    degree,
     dumbbell_graph,
     dumbbell_z6_spec,
     icosahedron_spec,
+    is_loop,
     random_connected_multigraph,
     random_cover_spec,
     theta_graph,
@@ -42,7 +44,7 @@ from helpers import (
 )
 from oracles import evaluate, subdivide
 
-S = UniPoly.monomial(1)
+S = UniPoly((0, 1))
 
 
 def test_triangle_zeta():
@@ -86,7 +88,7 @@ def test_l_at_trivial_character_is_zeta():
     loops = 0
     for _ in range(8):
         g = random_connected_multigraph(rng, 4, 7)
-        loops += sum(g.is_loop(e) for e in g.edges)
+        loops += sum(is_loop(g, e) for e in g.edges)
         lengths = {e: rng.randint(1, 3) for e in g.edges}
         spec = CoverSpec(base=g, group=AbelianGroup((3,)))
         trivial = characters(spec.group)[0]
@@ -337,7 +339,7 @@ def test_census_examples():
     loops = parallel = 0
     for _ in range(8):
         g = random_connected_multigraph(rng, 4, 6)
-        loops += sum(g.is_loop(e) for e in g.edges)
+        loops += sum(is_loop(g, e) for e in g.edges)
         parallel += len(g.edges) - len({frozenset(ends) for ends in g.ends.values()})
         counts = closed_path_census(ihara_zeta_reciprocal(g), 5)
         w = _unit_edge_matrix(g)
@@ -356,9 +358,9 @@ def test_census_past_the_ihara_degree():
     # Newton's identities past the last coefficient of the reciprocal, against
     # the trace of powers of the edge matrix
     loop = build_graph(["v"], [("e", "v", "v")])
-    for g, degree in ((triangle_graph(), 6), (loop, 2)):
+    for g, expected in ((triangle_graph(), 6), (loop, 2)):
         reciprocal = ihara_zeta_reciprocal(g)
-        assert reciprocal.degree == degree
+        assert degree(reciprocal) == expected
         w = _unit_edge_matrix(g)
         census = closed_path_census(reciprocal, 12)
         assert census == {m: _matpow_trace(w, m) for m in range(1, 13)}
@@ -479,7 +481,7 @@ def test_edge_matrix_determinant_is_one_charpoly_per_prime(monkeypatch):
     product = UniPoly.const(1)
     for rho in characters(spec.group):
         product = product * metric_l_reciprocal(spec, rho)
-    assert product == zeta and zeta.degree == 96
+    assert product == zeta and degree(zeta) == 96
 
 
 def test_long_lengths_keep_interpolation(monkeypatch):
